@@ -301,17 +301,14 @@ func BenchmarkAblationHashedMemories(b *testing.B) {
 // BenchmarkAblationSharing compares shared and unshared network
 // compilation for the sequential engine.
 func BenchmarkAblationSharing(b *testing.B) {
-	for _, bench := range []struct {
-		name    string
-		disable bool
-	}{{"shared", false}, {"unshared", true}} {
-		b.Run(bench.name, func(b *testing.B) {
+	for _, variant := range []string{"shared", "unshared"} {
+		b.Run(variant, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prog, err := ops5.ParseProgram(workloads.BlocksWorld)
 				if err != nil {
 					b.Fatal(err)
 				}
-				e, err := engine.New(prog, engine.Options{DisableSharing: bench.disable})
+				e, err := engine.New(prog, engine.Options{Variant: variant})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"mpcrete/internal/engine"
 	"mpcrete/internal/obs"
@@ -121,7 +122,6 @@ func main() {
 	}
 	var timeline *obs.Recorder
 	var rt *parallel.Runtime
-	var ctl *transport.Control
 	if *par > 0 {
 		if *tracePath != "" {
 			fatal("parallel", fmt.Errorf("-trace requires the sequential matcher (the recorder hooks rete.Matcher)"))
@@ -132,22 +132,24 @@ func main() {
 		if nb == 0 {
 			nb = rete.DefaultNBuckets
 		}
-		var causal *obs.CausalRecorder
-		if *flightPath != "" {
-			causal = parallel.NewFlightRecorder(*par, 0, 0, nb)
+		popts := parallel.Options{
+			Workers:    *par,
+			NBuckets:   *nbuckets,
+			RouteRoots: *routeRoots,
 		}
-		var reb sched.Rebalance
+		if *flightPath != "" {
+			popts.Causal = parallel.NewFlightRecorder(*par, 0, 0, nb)
+		}
 		if *rebalance > 0 {
-			reb = sched.DefaultRebalance()
-			reb.Threshold = *rebalance
+			popts.Rebalance = sched.DefaultRebalance()
+			popts.Rebalance.Threshold = *rebalance
 			if *rebalanceInterval > 0 {
-				reb.MinInterval = *rebalanceInterval
+				popts.Rebalance.MinInterval = *rebalanceInterval
 			}
 		}
-		var forceMigrate func(cycle int) sched.Partition
 		if *migrateEvery > 0 {
 			every, workers := *migrateEvery, *par
-			forceMigrate = func(cycle int) sched.Partition {
+			popts.ForceMigrate = func(cycle int) sched.Partition {
 				if cycle%every != 0 {
 					return nil
 				}
@@ -162,49 +164,33 @@ func main() {
 		case "inproc":
 			if *timelinePath != "" {
 				timeline = obs.NewRecorder()
+				popts.Recorder = timeline
 			}
-			rt, err = parallel.New(net, parallel.Options{
-				Workers:      *par,
-				NBuckets:     *nbuckets,
-				RouteRoots:   *routeRoots,
-				Recorder:     timeline,
-				Causal:       causal,
-				Rebalance:    reb,
-				ForceMigrate: forceMigrate,
-			})
-			fatal("parallel runtime", err)
-			defer rt.Close()
-			opts.Matcher = rt
 		case "tcp":
 			if *timelinePath != "" {
 				fatal("timeline", fmt.Errorf("-timeline hooks the in-process runtime; use -flight-dump with -transport tcp"))
 			}
-			ctl, err = transport.Listen(net, *listenAddr, transport.ControlOptions{
-				Workers:      *par,
-				NBuckets:     *nbuckets,
-				RouteRoots:   *routeRoots,
-				Causal:       causal,
-				Rebalance:    reb,
-				ForceMigrate: forceMigrate,
-			})
+			star, err := transport.Listen(*listenAddr, 30*time.Second)
 			fatal("control listen", err)
-			defer ctl.Close()
-			fmt.Fprintf(os.Stderr, "ops5run: control listening on %s; waiting for %d ops5worker processes\n", ctl.Addr(), *par)
-			fatal("worker handshake", ctl.WaitWorkers())
-			fmt.Fprintf(os.Stderr, "ops5run: %d workers connected\n", *par)
-			opts.Matcher = ctl
+			defer star.Close()
+			popts.Transport = star
+			fmt.Fprintf(os.Stderr, "ops5run: control listening on %s; waiting for %d ops5worker processes\n", star.Addr(), *par)
 		default:
 			fatal("transport", fmt.Errorf("unknown transport %q (inproc or tcp)", *transportName))
 		}
+		rt, err = parallel.New(net, popts)
+		fatal("parallel runtime", err)
+		defer rt.Close()
+		if *transportName == "tcp" {
+			fmt.Fprintf(os.Stderr, "ops5run: %d workers connected\n", *par)
+		}
+		opts.Matcher = rt
 	}
 
 	if *debugAddr != "" {
 		snapshots := map[string]func() any{}
 		if rt != nil {
 			snapshots["runtime"] = func() any { return rt.Stats() }
-		}
-		if ctl != nil {
-			snapshots["runtime"] = func() any { return ctl.Stats() }
 		}
 		addr, stop, err := obs.ServeDebug(*debugAddr, snapshots)
 		fatal("debug server", err)
@@ -240,39 +226,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ops5run: %d productions, %d alpha patterns, %d joins, %d negatives, %d bounded collectors\n",
 			len(prog.Productions), s.AlphaPatterns, s.JoinNodes, s.NegativeNodes, s.BoundedNodes)
 		fmt.Fprintf(os.Stderr, "ops5run: fired %d, wm size %d, halted %v\n", fired, e.WMCount(), e.Halted())
-		var st parallel.Stats
-		switch {
-		case rt != nil:
-			st = rt.Stats()
-		case ctl != nil:
-			st = ctl.Stats()
-		}
-		for w, n := range st.Processed {
-			fmt.Fprintf(os.Stderr, "ops5run: worker %d: %d activations, %d messages sent\n",
-				w, n, st.MsgsSent[w])
-		}
-		if *rebalance > 0 || *migrateEvery > 0 {
-			var migs, buckets, entries int64
-			switch {
-			case rt != nil:
-				migs, buckets, entries = rt.RebalanceStats()
-			case ctl != nil:
-				migs, buckets, entries = ctl.RebalanceStats()
+		if rt != nil {
+			st := rt.Stats()
+			for w, n := range st.Processed {
+				fmt.Fprintf(os.Stderr, "ops5run: worker %d: %d activations, %d messages sent\n",
+					w, n, st.MsgsSent[w])
 			}
-			fmt.Fprintf(os.Stderr, "ops5run: %d migrations moved %d buckets (%d memory entries)\n",
-				migs, buckets, entries)
+			if *rebalance > 0 || *migrateEvery > 0 {
+				migs, buckets, entries := rt.RebalanceStats()
+				fmt.Fprintf(os.Stderr, "ops5run: %d migrations moved %d buckets (%d memory entries)\n",
+					migs, buckets, entries)
+			}
 		}
 	}
 	if *flightPath != "" {
-		var dump *obs.FlightDump
-		if rt != nil {
-			dump = rt.FlightDump()
-		} else {
-			dump = ctl.FlightDump()
-		}
 		f, err := os.Create(*flightPath)
 		fatal("create flight dump", err)
-		fatal("write flight dump", dump.WriteJSON(f))
+		fatal("write flight dump", rt.FlightDump().WriteJSON(f))
 		fatal("close flight dump", f.Close())
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "ops5run: flight dump written to %s\n", *flightPath)

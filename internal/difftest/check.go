@@ -362,45 +362,55 @@ func tcpMigrationConfig(kind string, workers int, routed, adaptive, forced bool)
 	}}
 }
 
-// tcpProcMigrationConfig runs the schedules on the multi-process
-// control plane: buckets migrate between worker protocol loops across
-// real TCP connections mid-run.
-func tcpProcMigrationConfig(kind string, workers int, routed, adaptive, forced bool) config {
+// tcpProcConfig runs the multi-process runtime; with a migration
+// schedule (kind "adapt" or "migrate"), buckets migrate between worker
+// protocol loops across real TCP connections mid-run.
+func tcpProcConfig(kind string, workers int, routed, adaptive, forced bool) config {
 	mode := "bcast"
 	if routed {
 		mode = "routed"
 	}
 	name := fmt.Sprintf("tcpproc%s-w%d-%s", kind, workers, mode)
 	return config{name: name, build: func(prods []*ops5.Production, opts CheckOptions) (built, error) {
-		net, err := compileVariant(prods, "shared")
-		if err != nil {
-			return built{}, err
-		}
-		copts := transport.ControlOptions{
+		popts := parallel.Options{
 			Workers:    workers,
 			NBuckets:   checkNBuckets,
 			RouteRoots: routed,
 		}
 		if adaptive {
-			copts.Partition = skewedPartition()
-			copts.Rebalance = hairTrigger()
+			popts.Partition = skewedPartition()
+			popts.Rebalance = hairTrigger()
 		}
 		if forced {
-			copts.ForceMigrate = rotateEvery(workers)
+			popts.ForceMigrate = rotateEvery(workers)
 		}
-		ctl, err := transport.Listen(net, "127.0.0.1:0", copts)
-		if err != nil {
-			return built{}, err
-		}
-		for i := 0; i < workers; i++ {
-			go transport.Serve(ctl.Addr(), 10*time.Second)
-		}
-		if err := ctl.WaitWorkers(); err != nil {
-			ctl.Close()
-			return built{}, err
-		}
-		return built{net: net, matcher: ctl, close: func() { ctl.Close() }}, nil
+		return buildStar(prods, popts)
 	}}
+}
+
+// buildStar runs a parallel.Runtime over a transport.Star hub with
+// worker protocol loops served over local TCP connections — the same
+// code path ops5run -transport tcp and ops5worker run as separate OS
+// processes.
+func buildStar(prods []*ops5.Production, popts parallel.Options) (built, error) {
+	net, err := compileVariant(prods, "shared")
+	if err != nil {
+		return built{}, err
+	}
+	star, err := transport.Listen("127.0.0.1:0", 10*time.Second)
+	if err != nil {
+		return built{}, err
+	}
+	for i := 0; i < popts.Workers; i++ {
+		go transport.Serve(star.Addr(), 10*time.Second)
+	}
+	popts.Transport = star
+	rt, err := parallel.New(net, popts)
+	if err != nil {
+		star.Close()
+		return built{}, err
+	}
+	return built{net: net, matcher: rt, close: rt.Close}, nil
 }
 
 // tcpConfig is the in-process runtime with its mailboxes replaced by
@@ -428,40 +438,6 @@ func tcpConfig(workers int, routed bool) config {
 			return built{}, err
 		}
 		return built{net: net, matcher: rt, close: rt.Close}, nil
-	}}
-}
-
-// tcpProcConfig is the multi-process control plane: a transport.Control
-// hub with worker protocol loops served over local TCP connections —
-// the same code path ops5run -transport tcp and ops5worker run as
-// separate OS processes.
-func tcpProcConfig(workers int, routed bool) config {
-	mode := "bcast"
-	if routed {
-		mode = "routed"
-	}
-	name := fmt.Sprintf("tcpproc-w%d-%s", workers, mode)
-	return config{name: name, build: func(prods []*ops5.Production, opts CheckOptions) (built, error) {
-		net, err := compileVariant(prods, "shared")
-		if err != nil {
-			return built{}, err
-		}
-		ctl, err := transport.Listen(net, "127.0.0.1:0", transport.ControlOptions{
-			Workers:    workers,
-			NBuckets:   checkNBuckets,
-			RouteRoots: routed,
-		})
-		if err != nil {
-			return built{}, err
-		}
-		for i := 0; i < workers; i++ {
-			go transport.Serve(ctl.Addr(), 10*time.Second)
-		}
-		if err := ctl.WaitWorkers(); err != nil {
-			ctl.Close()
-			return built{}, err
-		}
-		return built{net: net, matcher: ctl, close: func() { ctl.Close() }}, nil
 	}}
 }
 
@@ -508,7 +484,7 @@ func configMatrix(opts CheckOptions) []config {
 	if opts.TCP {
 		configs = append(configs,
 			tcpConfig(2, false), tcpConfig(2, true),
-			tcpProcConfig(2, false), tcpProcConfig(2, true),
+			tcpProcConfig("", 2, false, false, false), tcpProcConfig("", 2, true, false, false),
 		)
 	}
 	if opts.Rebalance {
@@ -525,8 +501,8 @@ func configMatrix(opts CheckOptions) []config {
 			configs = append(configs,
 				tcpMigrationConfig("adapt", 2, true, true, false),
 				tcpMigrationConfig("migrate", 2, false, false, true),
-				tcpProcMigrationConfig("adapt", 2, false, true, false),
-				tcpProcMigrationConfig("migrate", 2, true, false, true),
+				tcpProcConfig("adapt", 2, false, true, false),
+				tcpProcConfig("migrate", 2, true, false, true),
 			)
 		}
 	}

@@ -68,11 +68,6 @@ type Options struct {
 	// Variant names the network variant to compile (see
 	// rete.Variants(); empty means "shared").
 	Variant string
-	// DisableSharing compiles the network without node sharing.
-	//
-	// Deprecated: the old spelling of Variant: "unshared"; ignored when
-	// Variant is set.
-	DisableSharing bool
 	// Matcher, when non-nil, supplies the match implementation (e.g. a
 	// parallel.Runtime over the same network); NBuckets and Listener
 	// are then ignored — configure them on the supplied matcher.
@@ -143,7 +138,7 @@ type Engine = Session
 // compiled network is private to this engine, so dynamic production
 // management (excise, live addition) is permitted.
 func New(prog *ops5.Program, opts Options) (*Engine, error) {
-	c, err := Compile(prog, CompileOptions{Variant: opts.Variant, DisableSharing: opts.DisableSharing})
+	c, err := Compile(prog, CompileOptions{Variant: opts.Variant})
 	if err != nil {
 		return nil, err
 	}

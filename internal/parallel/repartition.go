@@ -22,7 +22,7 @@ type MigrationStats struct {
 
 // Repartition changes the bucket-to-worker assignment of a quiescent
 // runtime, migrating stored tokens to their new owners, and returns
-// the measured cost. It must be called between Apply calls. The same
+// the measured cost. It must be called between cycles. The same
 // machinery runs automatically at cycle boundaries when
 // Options.Rebalance or Options.ForceMigrate is set.
 func (rt *Runtime) Repartition(newPart sched.Partition) (MigrationStats, error) {
@@ -32,11 +32,11 @@ func (rt *Runtime) Repartition(newPart sched.Partition) (MigrationStats, error) 
 	return rt.migrate(newPart)
 }
 
-// migrate executes a bucket migration on the quiescent runtime: each
-// losing worker extracts the moved buckets and ships their contents to
-// the new owners; the work counter provides the barrier; routing
-// switches atomically (from the workers' point of view, between
-// cycles) when rt.opts.Partition is replaced at the end.
+// migrate executes a bucket migration on the quiescent runtime: every
+// worker gets the new partition, switches its routing to it, and ships
+// the buckets it loses to their new owners; the work counter provides
+// the barrier. The control goroutine's routing switches when
+// rt.opts.Partition is replaced at the end.
 func (rt *Runtime) migrate(newPart sched.Partition) (MigrationStats, error) {
 	if !rt.canMigrate {
 		// Migration messages carry *rete.BucketContents; they travel by
@@ -50,56 +50,33 @@ func (rt *Runtime) migrate(newPart sched.Partition) (MigrationStats, error) {
 	if err := newPart.Validate(rt.opts.Workers); err != nil {
 		return MigrationStats{}, err
 	}
-
-	// Plan the moves per losing worker, sorted by bucket (the loop
-	// ascends buckets) for reproducible message counts.
-	perWorker := make([][]BucketMove, rt.opts.Workers)
 	var stats MigrationStats
-	for b := range newPart {
-		oldOwner, newOwner := rt.opts.Partition[b], newPart[b]
-		if oldOwner == newOwner {
-			continue
+	for b, owner := range newPart {
+		if rt.opts.Partition[b] != owner {
+			stats.BucketsMoved++
 		}
-		perWorker[oldOwner] = append(perWorker[oldOwner], BucketMove{Bucket: int32(b), NewOwner: int32(newOwner)})
-		stats.BucketsMoved++
+	}
+	if stats.BucketsMoved == 0 {
+		rt.opts.Partition = newPart
+		return stats, nil
 	}
 
-	for w, moves := range perWorker {
-		if moves == nil {
-			continue
+	shipped, entries := rt.shipped.Load(), rt.shippedEntries.Load()
+	rt.counter.Add(len(rt.eps))
+	rt.controlCounts().AddSent(len(rt.eps))
+	msg := Message{Kind: MsgMigrateOut, Partition: newPart}
+	for w, ep := range rt.eps {
+		batch := rt.causal.NextBatch()
+		if rt.ctlTrack != nil {
+			rt.ctlTrack.Send(rt.nowNS(), rt.curCycle.Load(), batch, int32(w), 1)
 		}
-		rt.counter.Add(1)
-		rt.controlCounts().IncSent()
-		rt.workers[w].inbox.Push(Message{Kind: MsgMigrateOut, Moves: moves}, rt.causal.NextBatch(), int32(rt.opts.Workers))
+		ep.Push(msg, batch, int32(rt.opts.Workers))
 	}
-	rt.counter.Wait()
-	if err := rt.counter.Err(); err != nil {
+	if _, err := rt.quiesce(); err != nil {
 		return MigrationStats{}, err
 	}
-
-	// Collect measured costs from the workers (quiescent again).
-	for _, w := range rt.workers {
-		stats.EntriesMoved += w.migratedEntries
-		stats.Messages += w.migrationMsgs
-		w.migratedEntries, w.migrationMsgs = 0, 0
-	}
+	stats.Messages = int(rt.shipped.Load() - shipped)
+	stats.EntriesMoved = int(rt.shippedEntries.Load() - entries)
 	rt.opts.Partition = newPart
 	return stats, nil
-}
-
-// handleMigrateOut runs on the losing worker: extract each listed
-// bucket and ship its contents to the new owner.
-func (w *worker) handleMigrateOut(moves []BucketMove) {
-	rt := w.rt
-	for _, mv := range moves {
-		bc := w.proc.ExtractBucket(int(mv.Bucket))
-		if bc.Entries() == 0 {
-			continue // nothing stored; ownership transfer is free
-		}
-		w.migratedEntries += bc.Entries()
-		w.migrationMsgs++
-		rt.counter.Add(1)
-		rt.counts[w.id].IncSent()
-		rt.workers[mv.NewOwner].inbox.Push(Message{Kind: MsgMigrateIn, Inject: bc}, rt.causal.NextBatch(), int32(w.id))
-	}
 }

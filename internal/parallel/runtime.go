@@ -20,6 +20,10 @@
 // so the per-message cost the paper prices at 0–32 µs stays far below
 // a node activation's work here.
 //
+// Each match processor is a Core. The goroutine worker hosts one per
+// goroutine; with a RemoteTransport each core runs in its own OS
+// process (internal/transport), under the same control loop.
+//
 // This is the "real implementation" the paper planned as future work
 // (on Nectar), transplanted to a shared-nothing goroutine machine. It
 // includes the distributed termination detection the paper's simulator
@@ -28,6 +32,7 @@
 package parallel
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -54,8 +59,8 @@ const (
 
 // Options configure a Runtime.
 type Options struct {
-	// Workers is the number of match goroutines (default
-	// runtime.GOMAXPROCS(0)).
+	// Workers is the number of match workers — goroutines, or worker
+	// processes on a RemoteTransport (default runtime.GOMAXPROCS(0)).
 	Workers int
 	// NBuckets sizes the hash-bucket space (default
 	// rete.DefaultNBuckets).
@@ -63,12 +68,11 @@ type Options struct {
 	// Partition maps bucket -> worker (default round-robin).
 	Partition sched.Partition
 	// Rebalance, when enabled, turns on the online adaptive
-	// repartitioner: workers count activations per bucket, the control
-	// goroutine folds the counters into a sched.Balancer at every
-	// quiescence, and when the detector arms (threshold, hysteresis,
-	// min-interval knobs — see sched.Rebalance) hot buckets migrate to
-	// new owners at the cycle boundary through the Repartition
-	// machinery. The netted conflict-set output is byte-identical to
+	// repartitioner: workers count activations per bucket and report
+	// the counts into a sched.Balancer at the end of every turn, and
+	// when the detector arms (threshold, hysteresis, min-interval knobs
+	// — see sched.Rebalance) hot buckets migrate to new owners at the
+	// cycle boundary through the Repartition machinery. The netted conflict-set output is byte-identical to
 	// the static run — migration moves state, never match semantics.
 	// Requires a transport that can carry the migration protocol
 	// (RefTransport or MigrationTransport).
@@ -115,9 +119,10 @@ type Options struct {
 	Metrics *obs.Registry
 	// Transport supplies the message plane (nil: the in-process
 	// double-buffer mailboxes, InProc). See the Transport contract in
-	// transport.go; internal/transport provides a TCP loopback
-	// implementation used to validate wire framing against this
-	// reference in-process.
+	// transport.go. internal/transport provides a TCP loopback
+	// implementation that validates wire framing against this reference
+	// in-process, and the star transport whose workers are separate OS
+	// processes (a RemoteTransport).
 	Transport Transport
 	// Causal, when non-nil, attaches the flight recorder: every worker
 	// records sequence-stamped send/recv/handle/flush events (with
@@ -152,7 +157,7 @@ type CyclePacket struct {
 
 // Message is the worker-mailbox protocol. All fields are the
 // wire-visible protocol a Transport must carry; the migration fields
-// (Moves, Inject) reference live Rete state in-process, so a wire
+// (Partition, Inject) reference runtime state in-process, so a wire
 // transport must serialize them at Push time (see MigrationTransport)
 // — the synchronous-capture rule already requires that.
 type Message struct {
@@ -161,21 +166,15 @@ type Message struct {
 	Depth  int32           // MsgAct: dependency depth within the cycle (roots are 1)
 	Cycle  *CyclePacket    // MsgCycle: shared, read-only
 	Act    rete.Activation // MsgAct
-	// Moves lists the buckets the receiving worker loses, with their
-	// new owners, sorted by bucket (MsgMigrateOut).
-	Moves []BucketMove
+	// Partition is the new bucket-to-worker assignment
+	// (MsgMigrateOut): the receiver switches its routing to it and
+	// ships every bucket it loses to the new owner.
+	Partition sched.Partition
 	// Inject carries one extracted bucket pair to its new owner
 	// (MsgMigrateIn). In-process the pointer is the live contents; a
 	// wire transport decodes a fresh copy, which is safe because memory
 	// removal matches by value (wme ID / Token.Same), not identity.
 	Inject *rete.BucketContents
-}
-
-// BucketMove is one entry of a MsgMigrateOut: the receiving worker
-// must extract Bucket and ship its contents to NewOwner.
-type BucketMove struct {
-	Bucket   int32
-	NewOwner int32
 }
 
 type MsgKind uint8
@@ -200,34 +199,40 @@ type Stats struct {
 	Insts int64
 }
 
-// Runtime is a parallel match engine over one compiled network. Apply
+// Runtime is a parallel match engine over one compiled network. Cycle
 // is the match phase of the MRA cycle; resolve and act remain the
 // caller's job, as on the control processor of the paper's mapping.
+// The workers are goroutines, or worker processes when the transport
+// is a RemoteTransport; the control loop is the same for both.
 type Runtime struct {
 	net  *rete.Network
 	opts Options
 
-	workers  []*worker
+	eps      []Endpoint // worker inboxes, indexed by worker id
+	workers  []*worker  // the goroutine workers (none on a RemoteTransport)
 	cyclePkt *CyclePacket
 
-	// transport owns the message plane; refDelivery records whether it
-	// delivers by reference, canMigrate whether it can carry the
-	// migration protocol at all (by reference or serialized — see
-	// MigrationTransport).
-	transport   Transport
-	refDelivery bool
-	canMigrate  bool
+	// transport owns the message plane; canMigrate records whether it
+	// can carry the migration protocol (by reference or serialized —
+	// see MigrationTransport).
+	transport  Transport
+	canMigrate bool
 
 	// balancer is the online rebalance detector/planner (nil unless
-	// Options.Rebalance is enabled); rebSeries is the obs series
+	// Options.Rebalance is enabled); loadMu serializes the workers'
+	// per-turn load reports into it. rebSeries is the obs series
 	// migrations publish into, and the counters below aggregate
-	// migration costs across the run (also surfaced via
-	// RebalanceStats).
-	balancer     *sched.Balancer
-	rebSeries    *obs.Series
-	migrations   atomic.Int64
-	bucketsMoved atomic.Int64
-	entriesMoved atomic.Int64
+	// migration costs across the run (surfaced via RebalanceStats).
+	// shipped and shippedEntries count every migrated bucket the cores
+	// reported, so migrate can measure one migration's cost.
+	balancer       *sched.Balancer
+	loadMu         sync.Mutex
+	rebSeries      *obs.Series
+	migrations     atomic.Int64
+	bucketsMoved   atomic.Int64
+	entriesMoved   atomic.Int64
+	shipped        atomic.Int64
+	shippedEntries atomic.Int64
 
 	// root-routing state (RouteRoots mode): the control goroutine's
 	// constant-test processor plus reusable per-destination buffers.
@@ -256,7 +261,7 @@ type Runtime struct {
 	// causal is the flight recorder (nil unless Options.Causal);
 	// ctlTrack caches its control track, and curCycle publishes the
 	// 1-based cycle number workers stamp on their events (workers are
-	// quiescent between Applies, so a relaxed load per turn suffices).
+	// quiescent between cycles, so a relaxed load per turn suffices).
 	causal   *obs.CausalRecorder
 	ctlTrack *obs.TrackRecorder
 	curCycle atomic.Int32
@@ -275,59 +280,20 @@ func (rt *Runtime) nowNS() int64 { return time.Since(rt.epoch).Nanoseconds() }
 // workers occupy tracks 0..Workers-1).
 func (rt *Runtime) controlTrack() int { return rt.opts.Workers }
 
-// localAct is one queued unit of locally-owned match work: an
-// activation, its hash bucket, and its dependency depth within the
-// current cycle.
-type localAct struct {
-	act    rete.Activation
-	bucket int32
-	depth  int32
-}
-
+// worker is the goroutine host of a Core: it drains the mailbox,
+// applies chaos, ships the core's out buffers with credit counting,
+// and records causal events.
 type worker struct {
-	id    int
+	*Core
 	rt    *Runtime
-	proc  *rete.Processor
 	inbox Endpoint
 	done  sync.WaitGroup
 
-	// localQ is the worker's FIFO of locally-owned activations,
-	// drained breadth-first (see drainLocal).
-	localQ []localAct
-
-	// turn-local state, reused across turns: the drained batch, the
-	// constant-test scratch, the per-destination coalescing buffers,
-	// and the conflict-set delta buffer. pendingSends counts messages
-	// buffered in outBufs since the last flush; turnProcessed/turnSent
-	// accumulate the per-activation counters published once per turn.
-	batch         []Message
-	stampBuf      []RecvStamp
-	rootScratch   []rete.Activation
-	outBufs       [][]Message
-	instBuf       []rete.InstChange
-	pendingSends  int
-	turnProcessed int64
-	turnSent      int64
-
-	// ctrack is the worker's causal event ring (nil when the flight
-	// recorder is off — every recording call is then one nil check).
-	// turnTS and turnCycle are the timestamp and cycle number stamped
-	// on the turn's handle events, cached at drain time so the hot loop
-	// never reads the clock per activation.
-	ctrack    *obs.TrackRecorder
-	turnTS    int64
-	turnCycle int32
-
-	// migration accounting, read by Repartition after its barrier.
-	migratedEntries int
-	migrationMsgs   int
-
-	// bucketLoad counts activations per bucket for the rebalance
-	// detector (nil unless Options.Rebalance is enabled — the hot path
-	// then pays one nil check). The control goroutine drains it at
-	// quiescence (foldBucketLoads); the termination-detector barrier
-	// orders the worker's writes before the control read.
-	bucketLoad []int64
+	// turn-local state, reused across turns: the drained batch, its
+	// recv stamps, and the turn report.
+	batch    []Message
+	stampBuf []RecvStamp
+	turn     Turn
 
 	// chaos is the worker's scheduling perturbator (nil unless
 	// Options.ChaosSeed is set).
@@ -335,7 +301,7 @@ type worker struct {
 }
 
 // New creates and starts a runtime. Close must be called to stop the
-// worker goroutines.
+// workers.
 func New(net *rete.Network, opts Options) (*Runtime, error) {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -389,9 +355,9 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	if rt.transport == nil {
 		rt.transport = InProc()
 	}
-	_, rt.refDelivery = rt.transport.(RefTransport)
+	_, refDelivery := rt.transport.(RefTransport)
 	_, wireMigration := rt.transport.(MigrationTransport)
-	rt.canMigrate = rt.refDelivery || wireMigration
+	rt.canMigrate = refDelivery || wireMigration
 	if opts.Rebalance.Enabled() || opts.ForceMigrate != nil {
 		if !rt.canMigrate {
 			return nil, fmt.Errorf("parallel: Rebalance/ForceMigrate require a transport that carries the migration protocol (RefTransport or MigrationTransport)")
@@ -413,6 +379,10 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	}
 	rt.four = termdet.NewFourCounter(rt.counts)
 
+	remote, isRemote := rt.transport.(RemoteTransport)
+	if isRemote {
+		remote.AttachHub(&Hub{rt: rt})
+	}
 	eps, err := rt.transport.Open(opts.Workers, EndpointOptions{
 		Dropped: dropped,
 		Stamped: rt.causal != nil,
@@ -426,18 +396,17 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	if len(eps) != opts.Workers {
 		return nil, fmt.Errorf("parallel: transport opened %d endpoints, want %d", len(eps), opts.Workers)
 	}
+	rt.eps = eps
+	if isRemote {
+		return rt, nil
+	}
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{
-			id:      i,
-			rt:      rt,
-			proc:    rete.NewProcessor(net, opts.NBuckets),
-			inbox:   eps[i],
-			outBufs: make([][]Message, opts.Workers),
-			ctrack:  rt.causal.Track(i),
+			Core:  NewCore(rt.topology(), i),
+			rt:    rt,
+			inbox: eps[i],
 		}
-		if rt.balancer != nil {
-			w.bucketLoad = make([]int64, opts.NBuckets)
-		}
+		w.track = rt.causal.Track(i)
 		if opts.ChaosSeed != 0 {
 			w.chaos = newChaos(opts.ChaosSeed, i)
 		}
@@ -448,18 +417,34 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
+// topology is the machine the worker cores are built for.
+func (rt *Runtime) topology() Topology {
+	return Topology{
+		Net:        rt.net,
+		Workers:    rt.opts.Workers,
+		NBuckets:   rt.opts.NBuckets,
+		Partition:  rt.opts.Partition,
+		TrackLoads: rt.balancer != nil,
+	}
+}
+
 // controlCounts returns the control goroutine's message counters.
 func (rt *Runtime) controlCounts() *termdet.ChannelCounts {
 	return rt.counts[len(rt.counts)-1]
 }
 
-// Apply runs one parallel match phase and returns the conflict-set
+// Cycle runs one parallel match phase and returns the conflict-set
 // deltas, netted per instantiation and deterministically ordered
 // (delivery order across workers is not deterministic; the netted set
-// is).
-func (rt *Runtime) Apply(changes []rete.Change) []rete.InstChange {
+// is). A transport failure (a lost message, a dead worker process) or a
+// four-counter mismatch at quiescence returns an error instead of
+// hanging; the error stays set, so every later Cycle fails too.
+func (rt *Runtime) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	if rt.closed {
-		panic("parallel: Apply after Close")
+		return nil, errors.New("parallel: Cycle after Close")
+	}
+	if err := rt.counter.Err(); err != nil {
+		return nil, err
 	}
 	rt.insts = rt.insts[:0] // quiescent: no worker holds instMu
 
@@ -474,47 +459,14 @@ func (rt *Runtime) Apply(changes []rete.Change) []rete.InstChange {
 		rt.broadcast(changes)
 	}
 
-	// Wait for global quiescence.
 	var waitStart int64
 	if rt.rec != nil {
 		waitStart = rt.nowNS()
 	}
-	waves := 0
-	if rt.opts.Detector == FourCounterDetector {
-		yield := runtime.Gosched
-		if rt.ctlChaos != nil {
-			// Jittered polling stretches the window between the two
-			// four-counter passes, the interval the protocol must
-			// tolerate in-flight messages across.
-			yield = rt.ctlChaos.yield
-		}
-		if rt.rec != nil {
-			inner := yield
-			yield = func() {
-				waves++
-				inner()
-			}
-		}
-		// A failed transport means quiescence is unreachable: the
-		// four-counter totals can never balance once messages are lost.
-		// Bail out of the polling loop through the same panic surface as
-		// the counter check below.
-		inner := yield
-		yield = func() {
-			if err := rt.counter.Err(); err != nil {
-				panic(err)
-			}
-			inner()
-		}
-		rt.four.WaitTerminated(yield)
-	}
-	rt.counter.Wait()
-	if err := rt.counter.Err(); err != nil {
-		// The transport lost accepted messages (see
-		// EndpointOptions.OnError). Apply cannot return an error — it is
-		// engine.MatchApplier — so the failure surfaces as a panic
-		// rather than a hang.
-		panic(err)
+	waves, err := rt.quiesce()
+	rt.cyclePkt.Changes = nil // release the caller's slice
+	if err != nil {
+		return nil, err
 	}
 	if rt.rec != nil {
 		rt.rec.Span(rt.controlTrack(), "quiesce", waitStart, rt.nowNS(),
@@ -528,20 +480,69 @@ func (rt *Runtime) Apply(changes []rete.Change) []rete.InstChange {
 	}
 
 	if rt.balancer != nil || rt.opts.ForceMigrate != nil {
-		rt.maybeRebalance(cycle)
+		if err := rt.maybeRebalance(cycle); err != nil {
+			return nil, err
+		}
 	}
+	return rt.netting.net(rt.insts), nil
+}
 
-	rt.cyclePkt.Changes = nil // release the caller's slice
-	return rt.netting.net(rt.insts)
+// Apply implements engine.MatchApplier, whose contract has no error
+// return: a failed Cycle panics.
+func (rt *Runtime) Apply(changes []rete.Change) []rete.InstChange {
+	insts, err := rt.Cycle(changes)
+	if err != nil {
+		panic(err)
+	}
+	return insts
+}
+
+// quiesce waits until every registered message has been handled, then
+// cross-checks Mattern's four counters: at quiescence every message
+// counted sent must have been counted received, or the accounting has
+// diverged from the credit counter. It returns the number of
+// four-counter waves polled (0 under the counting detector).
+func (rt *Runtime) quiesce() (waves int, err error) {
+	if rt.opts.Detector == FourCounterDetector {
+		// A failed transport means the four-counter totals can never
+		// balance once messages are lost, so the poll also watches the
+		// credit counter's error.
+		prevS, prevR := int64(-1), int64(-1)
+		for rt.counter.Err() == nil {
+			s, r, done := rt.four.Check(prevS, prevR)
+			if done {
+				break
+			}
+			prevS, prevR = s, r
+			waves++
+			if rt.ctlChaos != nil {
+				// Jittered polling stretches the window between the two
+				// four-counter passes, the interval the protocol must
+				// tolerate in-flight messages across.
+				rt.ctlChaos.yield()
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}
+	rt.counter.Wait()
+	if err := rt.counter.Err(); err != nil {
+		return waves, err
+	}
+	if sent, recv := rt.four.Poll(); sent != recv {
+		err := fmt.Errorf("parallel: channel counts diverged at quiescence: sent=%d recv=%d", sent, recv)
+		rt.counter.Fail(err)
+		return waves, err
+	}
+	return waves, nil
 }
 
 // maybeRebalance runs at the cycle boundary, on the quiescent runtime:
-// fold the workers' per-bucket activation counters into the balancer,
-// ask it (or the ForceMigrate test hook) for a new assignment, and
-// migrate. Migration happens strictly between cycles, so the match
-// semantics of neighbouring cycles are untouched — only where state
-// lives changes.
-func (rt *Runtime) maybeRebalance(cycle int32) {
+// ask the balancer (which the workers' turn reports fed) or the
+// ForceMigrate test hook for a new assignment, and migrate. Migration
+// happens strictly between cycles, so the match semantics of
+// neighbouring cycles are untouched — only where state lives changes.
+func (rt *Runtime) maybeRebalance(cycle int32) error {
 	var newPart sched.Partition
 	forced := false
 	if rt.opts.ForceMigrate != nil {
@@ -550,14 +551,15 @@ func (rt *Runtime) maybeRebalance(cycle int32) {
 	}
 	var imbalance float64
 	if rt.balancer != nil && !forced {
-		rt.foldBucketLoads()
+		rt.loadMu.Lock()
 		imbalance = rt.balancer.Imbalance()
 		if np, ok := rt.balancer.EndCycle(); ok {
 			newPart = np
 		}
+		rt.loadMu.Unlock()
 	}
 	if newPart == nil {
-		return
+		return nil
 	}
 	var t0 int64
 	if rt.rec != nil {
@@ -565,15 +567,14 @@ func (rt *Runtime) maybeRebalance(cycle int32) {
 	}
 	stats, err := rt.migrate(newPart)
 	if err != nil {
-		// The transport was vetted in New and the partition shape in
-		// migrate; an error here means a ForceMigrate hook returned a
-		// bad partition — surface it like any other fatal Apply error.
-		panic(err)
+		return err
 	}
 	if forced && rt.balancer != nil {
 		// A forced move invalidates the balancer's notion of the
 		// current assignment; restart it from the imposed partition.
+		rt.loadMu.Lock()
 		rt.balancer = sched.NewBalancer(rt.opts.Rebalance, newPart, rt.opts.Workers)
+		rt.loadMu.Unlock()
 	}
 	rt.migrations.Add(1)
 	rt.bucketsMoved.Add(int64(stats.BucketsMoved))
@@ -585,21 +586,7 @@ func (rt *Runtime) maybeRebalance(cycle int32) {
 			obs.Label{Key: "buckets", Value: strconv.Itoa(stats.BucketsMoved)},
 			obs.Label{Key: "entries", Value: strconv.Itoa(stats.EntriesMoved)})
 	}
-}
-
-// foldBucketLoads drains every worker's per-bucket activation counter
-// into the balancer. Runs at quiescence: the workers' last counter
-// writes happened before their termination-detector decrements, which
-// the control goroutine's Wait observed.
-func (rt *Runtime) foldBucketLoads() {
-	for _, w := range rt.workers {
-		for b, n := range w.bucketLoad {
-			if n > 0 {
-				rt.balancer.Observe(b, n)
-				w.bucketLoad[b] = 0
-			}
-		}
-	}
+	return nil
 }
 
 // RebalanceStats reports the adaptive repartitioner's cumulative cost:
@@ -617,18 +604,18 @@ func (rt *Runtime) broadcast(changes []rete.Change) {
 			obs.Label{Key: "changes", Value: strconv.Itoa(len(changes))})
 	}
 	rt.cyclePkt.Changes = changes
-	rt.counter.Add(len(rt.workers))
-	rt.controlCounts().AddSent(len(rt.workers))
+	rt.counter.Add(len(rt.eps))
+	rt.controlCounts().AddSent(len(rt.eps))
 	// One broadcast send event covers the whole wave; every worker's
 	// mailbox carries the same batch stamp, so each recv joins back to
 	// this send.
 	batch := rt.causal.NextBatch()
 	if rt.ctlTrack != nil {
-		rt.ctlTrack.Send(rt.nowNS(), rt.curCycle.Load(), batch, obs.BroadcastDst, int32(len(rt.workers)))
+		rt.ctlTrack.Send(rt.nowNS(), rt.curCycle.Load(), batch, obs.BroadcastDst, int32(len(rt.eps)))
 	}
 	msg := Message{Kind: MsgCycle, Cycle: rt.cyclePkt}
-	for _, w := range rt.workers {
-		w.inbox.Push(msg, batch, int32(rt.opts.Workers))
+	for _, ep := range rt.eps {
+		ep.Push(msg, batch, int32(rt.opts.Workers))
 	}
 }
 
@@ -666,9 +653,42 @@ func (rt *Runtime) routeRoots(changes []rete.Change) {
 		}
 		batch := rt.causal.NextBatch()
 		rt.ctlTrack.Send(ts, rt.curCycle.Load(), batch, int32(dst), int32(len(buf)))
-		rt.workers[dst].inbox.PushBatch(buf, batch, int32(rt.opts.Workers))
+		rt.eps[dst].PushBatch(buf, batch, int32(rt.opts.Workers))
 		rt.rootBufs[dst] = buf[:0]
 	}
+}
+
+// endTurn folds worker w's finished turn into the runtime: conflict-set
+// deltas, counters and bucket loads first, then the termination credit,
+// so quiescence implies the control goroutine sees all of them.
+func (rt *Runtime) endTurn(w int, t *Turn) {
+	if len(t.Insts) > 0 {
+		rt.instMu.Lock()
+		rt.insts = append(rt.insts, t.Insts...)
+		rt.instMu.Unlock()
+		rt.instCount.Add(int64(len(t.Insts)))
+	}
+	if len(t.Loads) > 0 {
+		rt.loadMu.Lock()
+		if rt.balancer != nil {
+			for _, l := range t.Loads {
+				rt.balancer.Observe(int(l.Bucket), l.N)
+			}
+		}
+		rt.loadMu.Unlock()
+	}
+	if t.Stats.Handles > 0 {
+		rt.processed[w].Add(t.Stats.Handles)
+	}
+	if t.Stats.Sent > 0 {
+		rt.msgsSent[w].Add(t.Stats.Sent)
+	}
+	if t.Stats.Shipped > 0 {
+		rt.shipped.Add(t.Stats.Shipped)
+		rt.shippedEntries.Add(t.Stats.Entries)
+	}
+	rt.counts[w].AddRecv(t.N)
+	rt.counter.Add(-t.N)
 }
 
 // Stats snapshots per-worker counters.
@@ -687,23 +707,23 @@ func (rt *Runtime) Stats() Stats {
 
 // FlightDump snapshots the attached flight recorder: the last-N causal
 // events per track plus the retained per-cycle aggregates. Nil when no
-// recorder is attached. Only legal at quiescence — between Apply calls
-// or after Close — which is when post-mortem analysis runs.
+// recorder is attached. Only legal at quiescence — between cycles or
+// after Close — which is when post-mortem analysis runs.
 func (rt *Runtime) FlightDump() *obs.FlightDump {
 	return rt.causal.Dump()
 }
 
-// Close stops the workers. The runtime cannot be reused. Any message a
-// straggler flushes at a closed mailbox is dropped silently (Close is
-// only legal on a quiescent runtime, so no dropped message carries
-// live work).
+// Close stops the workers and releases the transport. The runtime
+// cannot be reused. Any message a straggler flushes at a closed
+// mailbox is dropped silently (Close is only legal on a quiescent
+// runtime, so no dropped message carries live work).
 func (rt *Runtime) Close() {
 	if rt.closed {
 		return
 	}
 	rt.closed = true
-	for _, w := range rt.workers {
-		w.inbox.Close()
+	for _, ep := range rt.eps {
+		ep.Close()
 	}
 	for _, w := range rt.workers {
 		w.done.Wait()
@@ -714,7 +734,7 @@ func (rt *Runtime) Close() {
 // loop is the worker goroutine: one match processor of the mapping. It
 // consumes its mailbox one drained batch at a time — one lock
 // acquisition per turn, however many messages arrived — and flushes
-// coalesced outgoing activations at the end of each handled message.
+// coalesced outgoing messages at the end of each handled message.
 func (w *worker) loop() {
 	defer w.done.Done()
 	rt := w.rt
@@ -730,64 +750,34 @@ func (w *worker) loop() {
 			return
 		}
 		var t0 int64
-		if rt.rec != nil || w.ctrack != nil {
+		if rt.rec != nil || w.track != nil {
 			t0 = rt.nowNS()
 		}
-		if w.ctrack != nil {
+		if w.track != nil {
 			// Cache the turn's timestamp and cycle once: handle events
 			// reuse them instead of reading the clock per activation.
-			w.turnTS = t0
-			w.turnCycle = rt.curCycle.Load()
+			w.ts = t0
+			w.cycle = rt.curCycle.Load()
 			for _, s := range stamps {
-				w.ctrack.Recv(t0, w.turnCycle, s.Batch, s.Src, s.Count)
+				w.track.Recv(t0, w.cycle, s.Batch, s.Src, s.Count)
 			}
 		}
 		w.stampBuf = stamps // donate the stamp buffer back next drain
 		var kinds [numMsgKinds]int
 		for i := range w.batch {
-			msg := &w.batch[i]
-			kinds[msg.Kind]++
-			switch msg.Kind {
-			case MsgCycle:
-				// Constant tests run on every worker (duplicated work,
-				// the coarse granularity of Section 3.2); only
-				// locally-owned roots are processed. Every root of the
-				// turn is enqueued before any is expanded so storage
-				// precedes discovery (see drainLocal).
-				for _, ch := range msg.Cycle.Changes {
-					w.rootScratch = w.proc.RootActivationsInto(ch, w.rootScratch[:0])
-					for _, act := range w.rootScratch {
-						b := w.proc.Bucket(act)
-						if rt.opts.Partition[b] == w.id {
-							w.localQ = append(w.localQ, localAct{act: act, bucket: int32(b), depth: 1})
-						}
-					}
-				}
-				w.drainLocal()
-			case MsgAct:
-				w.localQ = append(w.localQ, localAct{act: msg.Act, bucket: msg.Bucket, depth: msg.Depth})
-				w.drainLocal()
-			case MsgMigrateOut:
-				w.handleMigrateOut(msg.Moves)
-			case MsgMigrateIn:
-				w.proc.InjectBucket(msg.Inject)
-			}
-			w.flushActs(false)
+			kinds[w.batch[i].Kind]++
+			w.Handle(&w.batch[i])
+			w.flush(false)
 		}
 		// Force out anything a chaotic flush deferral held back; a
 		// no-op on the plain path (per-message flushes left nothing).
-		w.flushActs(true)
-		n := len(w.batch)
+		w.flush(true)
 		if rt.rec != nil {
-			rt.rec.Span(w.id, "batch", t0, rt.nowNS(), batchLabels(n, &kinds)...)
+			rt.rec.Span(w.id, "batch", t0, rt.nowNS(), batchLabels(len(w.batch), &kinds)...)
 		}
-		// Deliver buffered conflict-set deltas and publish counters
-		// before deregistering the batch, so quiescence implies the
-		// control goroutine sees every delta.
-		w.flushInsts()
-		w.publishCounters()
-		rt.counts[w.id].AddRecv(n)
-		rt.counter.Add(-n)
+		w.EndTurn(&w.turn)
+		w.turn.N = len(w.batch)
+		rt.endTurn(w.id, &w.turn)
 	}
 }
 
@@ -805,7 +795,7 @@ func batchLabels(n int, kinds *[numMsgKinds]int) []obs.Label {
 	return labels
 }
 
-// flushActs ships the coalescing buffers: outstanding work and sent
+// flush ships the core's out buffers: outstanding work and sent
 // counters are accounted for the whole flush before any message
 // becomes visible, then each destination mailbox is locked once.
 // Under chaos a non-forced flush may be randomly deferred — the
@@ -813,133 +803,32 @@ func batchLabels(n int, kinds *[numMsgKinds]int) []obs.Label {
 // turn, which the end-of-turn forced call guarantees. Deferral is safe
 // because the turn's batch stays registered with the termination
 // detector until after the forced flush.
-func (w *worker) flushActs(force bool) {
-	if w.pendingSends == 0 {
+func (w *worker) flush(force bool) {
+	if w.Pending == 0 {
 		return
 	}
 	if !force && w.chaos != nil && w.chaos.deferFlush() {
 		return
 	}
 	rt := w.rt
-	rt.counter.Add(w.pendingSends)
-	rt.counts[w.id].AddSent(w.pendingSends)
-	w.turnSent += int64(w.pendingSends)
-	total := w.pendingSends
-	w.pendingSends = 0
+	rt.counter.Add(w.Pending)
+	rt.counts[w.id].AddSent(w.Pending)
+	total := w.Pending
+	w.Pending = 0
 	var ts int64
-	if w.ctrack != nil {
+	if w.track != nil {
 		ts = rt.nowNS()
 	}
-	for dst, buf := range w.outBufs {
+	for dst, buf := range w.Out {
 		if len(buf) == 0 {
 			continue
 		}
 		batch := rt.causal.NextBatch()
-		w.ctrack.Send(ts, w.turnCycle, batch, int32(dst), int32(len(buf)))
-		rt.workers[dst].inbox.PushBatch(buf, batch, int32(w.id))
-		w.outBufs[dst] = buf[:0]
+		w.track.Send(ts, w.cycle, batch, int32(dst), int32(len(buf)))
+		rt.eps[dst].PushBatch(buf, batch, int32(w.id))
+		w.Out[dst] = buf[:0]
 	}
-	w.ctrack.Flush(ts, w.turnCycle, int32(total))
-}
-
-// flushInsts delivers the turn's conflict-set deltas to the control
-// goroutine in one append.
-func (w *worker) flushInsts() {
-	if len(w.instBuf) == 0 {
-		return
-	}
-	rt := w.rt
-	rt.instMu.Lock()
-	rt.insts = append(rt.insts, w.instBuf...)
-	rt.instMu.Unlock()
-	rt.instCount.Add(int64(len(w.instBuf)))
-	w.instBuf = w.instBuf[:0]
-}
-
-// publishCounters folds the turn-local activation counters into the
-// shared snapshot atomics (once per turn, not once per activation).
-func (w *worker) publishCounters() {
-	if w.turnProcessed > 0 {
-		w.rt.processed[w.id].Add(w.turnProcessed)
-		w.turnProcessed = 0
-	}
-	if w.turnSent > 0 {
-		w.rt.msgsSent[w.id].Add(w.turnSent)
-		w.turnSent = 0
-	}
-}
-
-// sendInst buffers an instantiation delta for bulk delivery to the
-// control goroutine at end of turn.
-func (w *worker) sendInst(ic rete.InstChange) {
-	w.instBuf = append(w.instBuf, ic)
-}
-
-// process performs one activation, routing successors to the workers
-// owning their buckets. Locally-owned successors are processed
-// recursively — the zero-message fast path of the fine granularity;
-// remote successors are coalesced per destination and flushed at end
-// of turn. bucket is the activation's hash bucket, already computed by
-// whoever routed the activation here; depth is the activation's
-// position in the cycle's dependency chain (roots are 1), carried so
-// the flight recorder can measure the cycle's critical path.
-//
-// Production-node activations become instantiation deltas, not handle
-// events, and contribute neither depth nor fan-out — mirroring the
-// sequential matcher, whose trace listener records Instantiation, not
-// Activation, for them. The measured per-cycle MaxDepth therefore
-// walks the same activation forest as analysis.CriticalPath.
-// drainLocal performs queued activations in FIFO order, appending
-// locally-owned successors to the same queue. Breadth-first order
-// matches the sequential matcher's queue discipline, which keeps the
-// measured depth attribution of join discovery comparable to the
-// recorded trace: a depth-first expansion could walk a chain into a
-// join node before the sibling roots feeding the join's other side
-// have been stored, so the join would later fire from the shallow
-// side and the measured activation forest would flatten.
-func (w *worker) drainLocal() {
-	for qi := 0; qi < len(w.localQ); qi++ {
-		la := w.localQ[qi]
-		w.processOne(la.act, int(la.bucket), la.depth)
-	}
-	w.localQ = w.localQ[:0]
-}
-
-// processOne performs a single activation, queueing locally-owned
-// successors on localQ and buffering remote ones for the turn's flush.
-func (w *worker) processOne(act rete.Activation, bucket int, depth int32) {
-	rt := w.rt
-	if act.Node.Kind == rete.KindProduction {
-		// A root activation of a single-CE production.
-		w.sendInst(w.proc.BuildInst(act))
-		return
-	}
-	w.turnProcessed++
-	if w.bucketLoad != nil {
-		w.bucketLoad[bucket]++
-	}
-
-	fanout := int32(0)
-	w.proc.ProcessAt(act, bucket,
-		func(child rete.Activation) {
-			if child.Node.Kind == rete.KindProduction {
-				w.sendInst(w.proc.BuildInst(child))
-				return
-			}
-			fanout++
-			b := w.proc.Bucket(child)
-			owner := rt.opts.Partition[b]
-			if owner == w.id {
-				w.localQ = append(w.localQ, localAct{act: child, bucket: int32(b), depth: depth + 1})
-				return
-			}
-			w.outBufs[owner] = append(w.outBufs[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: depth + 1, Act: child})
-			w.pendingSends++
-		},
-		func(rete.InstChange) {
-			panic("parallel: unexpected instantiation emission")
-		})
-	w.ctrack.Handle(w.turnTS, w.turnCycle, int32(bucket), depth, fanout)
+	w.track.Flush(ts, w.cycle, int32(total))
 }
 
 // netter nets raw deltas per instantiation key: within one match
@@ -1004,13 +893,4 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 		}
 	}
 	return out
-}
-
-// NetInsts nets raw conflict-set deltas per instantiation key exactly
-// as Apply does before returning — exported so out-of-process control
-// planes (internal/transport) produce the same deterministic netted
-// output as the in-process runtime.
-func NetInsts(raw []rete.InstChange) []rete.InstChange {
-	var n netter
-	return n.net(raw)
 }

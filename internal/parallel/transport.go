@@ -5,8 +5,9 @@ import "mpcrete/internal/obs"
 // Transport abstracts the runtime's message plane: who carries a
 // Message from a sender to the worker that owns its bucket. The
 // in-process double-buffer mailboxes (mailbox.go) are the reference
-// implementation; internal/transport adds a TCP length-prefixed-frame
-// implementation that ships the same protocol between OS processes.
+// implementation; internal/transport adds TCP length-prefixed-frame
+// implementations: one that ships every mailbox message through a
+// socket, and one whose workers are separate OS processes.
 //
 // The contract a Transport must honor, because the runtime's
 // correctness arguments are built on it:
@@ -15,7 +16,7 @@ import "mpcrete/internal/obs"
 //     delivered in send order (add-before-delete ordering of same-token
 //     activations relies on this).
 //   - Synchronous capture: Push/PushBatch must capture the message and
-//     everything it references before returning — after Apply returns,
+//     everything it references before returning — after Cycle returns,
 //     the runtime reuses the cycle packet and the caller may reuse the
 //     changes slice, so a transport that defers serialization must copy
 //     first.
@@ -24,7 +25,7 @@ import "mpcrete/internal/obs"
 //     batch is processed (Drain + handle). A transport must deliver
 //     every accepted message exactly once, or report failure via
 //     EndpointOptions.OnError — silently dropping an accepted message
-//     leaves the credit counter permanently nonzero and Apply would
+//     leaves the credit counter permanently nonzero and Cycle would
 //     hang (see Runtime failure handling).
 //   - Stamp fidelity: on stamped endpoints the (batch, src) pair given
 //     to Push/PushBatch must come back from Drain attached to the same
@@ -52,7 +53,7 @@ type EndpointOptions struct {
 	// OnError, when non-nil, is called (possibly concurrently, possibly
 	// more than once) when the transport loses messages it accepted —
 	// e.g. a connection broke after Push returned. The runtime uses it
-	// to fail the termination detector so Apply surfaces an error
+	// to fail the termination detector so Cycle returns an error
 	// instead of hanging.
 	OnError func(error)
 }
@@ -81,13 +82,58 @@ type RefTransport interface {
 }
 
 // MigrationTransport marks wire transports that can carry the
-// migration protocol by value: their codec serializes Message.Moves
-// and Message.Inject (bucket contents) across the wire. Every
-// RefTransport implicitly carries migration; a transport implementing
-// neither interface makes Runtime.Repartition (and therefore
-// Options.Rebalance / Options.ForceMigrate) fail.
+// migration protocol by value: their codec serializes
+// Message.Partition and Message.Inject (bucket contents) across the
+// wire. Every RefTransport implicitly carries migration; a transport
+// implementing neither interface makes Runtime.Repartition (and
+// therefore Options.Rebalance / Options.ForceMigrate) fail.
 type MigrationTransport interface {
 	CarriesMigration()
+}
+
+// RemoteTransport marks transports whose workers run in other
+// processes, each hosting a Core behind its endpoint: pushes to
+// endpoint i reach worker i's core, and what the core sends back
+// arrives through the Hub. New starts no worker goroutines on such a
+// transport; it attaches the Hub before Open, so Open can hand each
+// worker its Topology.
+type RemoteTransport interface {
+	AttachHub(*Hub)
+}
+
+// Hub is the runtime's side of a RemoteTransport: the control
+// processor's accounting for messages the remote cores send. Relay and
+// EndTurn for worker w must be called from one goroutine, in the order
+// w produced them — a turn's relays before the turn itself.
+type Hub struct{ rt *Runtime }
+
+// Topology returns the machine the remote cores are built for.
+func (h *Hub) Topology() Topology { return h.rt.topology() }
+
+// Relay registers n messages worker src sent toward worker dst, before
+// the transport makes them visible at dst, and returns the causal
+// batch stamp to deliver them under.
+func (h *Hub) Relay(src, dst, n int) int32 {
+	rt := h.rt
+	rt.counter.Add(n)
+	rt.counts[src].AddSent(n)
+	batch := rt.causal.NextBatch()
+	if track := rt.causal.Track(src); track != nil {
+		track.Send(rt.nowNS(), rt.curCycle.Load(), batch, int32(dst), int32(n))
+	}
+	return batch
+}
+
+// EndTurn folds worker w's turn report into the runtime, the same way
+// a goroutine worker's turn is folded, after recording the worker's
+// receive stamp and remotely measured aggregate on its causal track.
+func (h *Hub) EndTurn(w int, t *Turn) {
+	rt := h.rt
+	if track := rt.causal.Track(w); track != nil {
+		track.Recv(rt.nowNS(), rt.curCycle.Load(), t.Stamp.Batch, t.Stamp.Src, t.Stamp.Count)
+		track.MergeRemote(t.Stats.Handles, t.Stats.Flushes, t.Stats.MaxDepth)
+	}
+	rt.endTurn(w, t)
 }
 
 // NewEndpoint returns one in-process double-buffer mailbox endpoint —

@@ -132,22 +132,22 @@ func TestProcessorRootActivations(t *testing.T) {
 	proc := NewProcessor(net, 16)
 
 	// a^x=1 matches p1's first CE only (left activation).
-	acts := proc.RootActivations(Change{Tag: Add, WME: mkWME(1, "a", "x", 1)})
+	acts := proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(1, "a", "x", 1)}, nil)
 	if len(acts) != 1 || acts[0].Side != Left || acts[0].Token == nil {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// a^x=2 matches p2 (a production-node left activation).
-	acts = proc.RootActivations(Change{Tag: Add, WME: mkWME(2, "a", "x", 2)})
+	acts = proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(2, "a", "x", 2)}, nil)
 	if len(acts) != 1 || acts[0].Node.Kind != KindProduction {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// b matches p1's join right input.
-	acts = proc.RootActivations(Change{Tag: Add, WME: mkWME(3, "b", "x", 9)})
+	acts = proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(3, "b", "x", 9)}, nil)
 	if len(acts) != 1 || acts[0].Side != Right || acts[0].WME == nil {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// Unknown class matches nothing.
-	if acts := proc.RootActivations(Change{Tag: Add, WME: mkWME(4, "zzz")}); len(acts) != 0 {
+	if acts := proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(4, "zzz")}, nil); len(acts) != 0 {
 		t.Fatalf("acts = %+v", acts)
 	}
 }
@@ -161,16 +161,16 @@ func TestProcessorProcessEmitsOnlyToCallback(t *testing.T) {
 	noInst := func(InstChange) { t.Fatal("unexpected inst") }
 
 	// Right wme first: stored, no matches.
-	for _, a := range proc.RootActivations(Change{Tag: Add, WME: mkWME(1, "b", "x", 5)}) {
-		proc.Process(a, emit, noInst)
+	for _, a := range proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(1, "b", "x", 5)}, nil) {
+		proc.ProcessAt(a, proc.Bucket(a), emit, noInst)
 	}
 	if len(emitted) != 0 {
 		t.Fatalf("emitted = %v", emitted)
 	}
 	// Matching left token: emits the joined token to the production
 	// node.
-	for _, a := range proc.RootActivations(Change{Tag: Add, WME: mkWME(2, "a", "x", 5)}) {
-		proc.Process(a, emit, noInst)
+	for _, a := range proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(2, "a", "x", 5)}, nil) {
+		proc.ProcessAt(a, proc.Bucket(a), emit, noInst)
 	}
 	if len(emitted) != 1 || emitted[0].Node.Kind != KindProduction {
 		t.Fatalf("emitted = %+v", emitted)

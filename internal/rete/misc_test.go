@@ -58,20 +58,20 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	// right wme in some buckets.
 	var insts []InstChange
 	emit := func(a Activation) {
-		src.Process(a, func(Activation) {}, func(ic InstChange) {})
+		src.ProcessAt(a, src.Bucket(a), func(Activation) {}, func(ic InstChange) {})
 	}
 	_ = emit
 	wa := mkWME(1, "a", "x", 5)
 	wb := mkWME(2, "b", "x", 5)
 	for _, ch := range []Change{{Tag: Add, WME: wa}, {Tag: Add, WME: wb}} {
-		for _, act := range src.RootActivations(ch) {
+		for _, act := range src.RootActivationsInto(ch, nil) {
 			var rec func(a Activation)
 			rec = func(a Activation) {
 				if a.Node.Kind == KindProduction {
 					insts = append(insts, src.BuildInst(a))
 					return
 				}
-				src.Process(a, rec, func(InstChange) {})
+				src.ProcessAt(a, src.Bucket(a), rec, func(InstChange) {})
 			}
 			rec(act)
 		}
@@ -102,7 +102,7 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	// Negative-node counts survive: deleting the b-wme at dst must
 	// re-propagate the left token (count 1 -> 0).
 	reborn := 0
-	for _, act := range dst.RootActivations(Change{Tag: Delete, WME: wb}) {
+	for _, act := range dst.RootActivationsInto(Change{Tag: Delete, WME: wb}, nil) {
 		var rec func(a Activation)
 		rec = func(a Activation) {
 			if a.Node.Kind == KindProduction {
@@ -111,7 +111,7 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 				}
 				return
 			}
-			dst.Process(a, rec, func(InstChange) {})
+			dst.ProcessAt(a, dst.Bucket(a), rec, func(InstChange) {})
 		}
 		rec(act)
 	}

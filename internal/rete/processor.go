@@ -77,20 +77,14 @@ func (p *Processor) Reset() {
 	p.arena.reset()
 }
 
-// RootActivations runs the constant tests for one wme change and
-// returns the resulting activations (the paper's "tokens generated
-// directly by wmes"). Copy-and-constraint node copies filter right
-// tokens here.
-func (p *Processor) RootActivations(ch Change) []Activation {
-	return p.RootActivationsInto(ch, nil)
-}
-
-// RootActivationsInto is RootActivations appending into a reusable
-// buffer — the entry point for hot-path callers (the parallel runtime's
-// per-cycle constant-test pass, and the control processor when it
-// hash-routes root activations to their owners instead of
-// broadcasting). Left root tokens are carved from the processor's
-// arena.
+// RootActivationsInto runs the constant tests for one wme change and
+// appends the resulting activations (the paper's "tokens generated
+// directly by wmes") to out — a reusable buffer for hot-path callers
+// (the parallel runtime's per-cycle constant-test pass, and the
+// control processor when it hash-routes root activations to their
+// owners instead of broadcasting). Copy-and-constraint node copies
+// filter right tokens here. Left root tokens are carved from the
+// processor's arena.
 func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activation {
 	for _, a := range p.net.AlphasForClass(ch.WME.Class) {
 		if !a.Matches(ch.WME) {
@@ -113,21 +107,17 @@ func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activatio
 	return out
 }
 
-// Process performs one activation: production-node activations invoke
-// inst; dummy nodes forward; join and negative nodes update this
-// processor's memories and emit successor (left) activations via emit.
-// The caller must route every activation for a given bucket to the
-// same Processor, or memory state will be inconsistent.
-func (p *Processor) Process(a Activation, emit func(Activation), inst func(InstChange)) {
-	p.ProcessAt(a, p.Bucket(a), emit, inst)
-}
-
-// ProcessAt is Process with the activation's hash bucket supplied by
-// the caller. Both the sequential matcher and the parallel runtime
-// already compute the bucket to route the activation (for the trace
-// event and for worker ownership respectively), so this entry point
-// halves the HashKey work on the hot path. bucket is ignored for
-// production and dummy nodes, which touch no memory.
+// ProcessAt performs one activation, whose hash bucket the caller
+// supplies: production-node activations invoke inst; dummy nodes
+// forward; join and negative nodes update this processor's memories
+// and emit successor (left) activations via emit. The caller must
+// route every activation for a given bucket to the same Processor, or
+// memory state will be inconsistent. Both the sequential matcher and
+// the parallel runtime already compute the bucket to route the
+// activation (for the trace event and for worker ownership
+// respectively), so taking it here halves the HashKey work on the hot
+// path. bucket is ignored for production and dummy nodes, which touch
+// no memory.
 func (p *Processor) ProcessAt(a Activation, bucket int, emit func(Activation), inst func(InstChange)) {
 	switch a.Node.Kind {
 	case KindProduction:

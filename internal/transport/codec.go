@@ -9,6 +9,7 @@ import (
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
+	"mpcrete/internal/sched"
 )
 
 // Payload codec: varint-encoded values over the frame payloads, in the
@@ -306,14 +307,10 @@ func (e *enc) activation(a rete.Activation) {
 
 func (d *dec) activation(net *rete.Network) (rete.Activation, error) {
 	var a rete.Activation
-	id, err := d.int()
-	if err != nil {
+	var err error
+	if a.Node, err = d.node(net); err != nil {
 		return a, err
 	}
-	if id < 0 || id >= len(net.Nodes) {
-		return a, d.fail(fmt.Sprintf("node id %d out of range [0,%d)", id, len(net.Nodes)))
-	}
-	a.Node = net.Nodes[id]
 	side, err := d.byte()
 	if err != nil {
 		return a, err
@@ -488,39 +485,41 @@ func (d *dec) bucketContents(net *rete.Network) (*rete.BucketContents, error) {
 	return bc, nil
 }
 
-// --- message batches (the Loopback transport's ftBatch payload) ---
+// --- message batches (the ftBatch and ftRelay payloads) ---
 
 // appendBatch encodes a pushed message batch with its causal stamp.
-// Migration messages ship by value: moves as (bucket, owner) pairs,
-// injected contents through the bucketContents codec.
 func appendBatch(buf []byte, ms []parallel.Message, batch, src int32) ([]byte, error) {
 	e := enc{buf: buf}
 	e.i32(batch)
 	e.i32(src)
+	return appendMsgs(e.buf, ms)
+}
+
+// appendMsgs encodes a message list. Migration messages ship by value:
+// the new partition as owner ids, injected contents through the
+// bucketContents codec.
+func appendMsgs(buf []byte, ms []parallel.Message) ([]byte, error) {
+	e := enc{buf: buf}
 	e.count(len(ms))
 	for i := range ms {
 		m := &ms[i]
+		e.byte(byte(m.Kind))
 		switch m.Kind {
 		case parallel.MsgCycle:
-			e.byte(byte(parallel.MsgCycle))
 			e.count(len(m.Cycle.Changes))
 			for _, ch := range m.Cycle.Changes {
 				e.change(ch)
 			}
 		case parallel.MsgAct:
-			e.byte(byte(parallel.MsgAct))
 			e.i32(m.Bucket)
 			e.i32(m.Depth)
 			e.activation(m.Act)
 		case parallel.MsgMigrateOut:
-			e.byte(byte(parallel.MsgMigrateOut))
-			e.count(len(m.Moves))
-			for _, mv := range m.Moves {
-				e.i32(mv.Bucket)
-				e.i32(mv.NewOwner)
+			e.count(len(m.Partition))
+			for _, owner := range m.Partition {
+				e.int(owner)
 			}
 		case parallel.MsgMigrateIn:
-			e.byte(byte(parallel.MsgMigrateIn))
 			e.bucketContents(m.Inject)
 		default:
 			return nil, fmt.Errorf("transport: message kind %d cannot cross the wire", m.Kind)
@@ -541,69 +540,153 @@ func decodeBatch(net *rete.Network, payload []byte, ms []parallel.Message) ([]pa
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	n, err := d.count(1 << 24)
-	if err != nil {
+	if ms, err = d.msgs(net, ms); err != nil {
 		return nil, 0, 0, err
-	}
-	ms = ms[:0]
-	for i := 0; i < n; i++ {
-		kind, err := d.byte()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		switch parallel.MsgKind(kind) {
-		case parallel.MsgCycle:
-			nch, err := d.count(1 << 24)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			pkt := &parallel.CyclePacket{Changes: make([]rete.Change, nch)}
-			for j := range pkt.Changes {
-				if pkt.Changes[j], err = d.change(); err != nil {
-					return nil, 0, 0, err
-				}
-			}
-			ms = append(ms, parallel.Message{Kind: parallel.MsgCycle, Cycle: pkt})
-		case parallel.MsgAct:
-			var m parallel.Message
-			m.Kind = parallel.MsgAct
-			if m.Bucket, err = d.i32(); err != nil {
-				return nil, 0, 0, err
-			}
-			if m.Depth, err = d.i32(); err != nil {
-				return nil, 0, 0, err
-			}
-			if m.Act, err = d.activation(net); err != nil {
-				return nil, 0, 0, err
-			}
-			ms = append(ms, m)
-		case parallel.MsgMigrateOut:
-			nm, err := d.count(1 << 24)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			moves := make([]parallel.BucketMove, nm)
-			for j := range moves {
-				if moves[j].Bucket, err = d.i32(); err != nil {
-					return nil, 0, 0, err
-				}
-				if moves[j].NewOwner, err = d.i32(); err != nil {
-					return nil, 0, 0, err
-				}
-			}
-			ms = append(ms, parallel.Message{Kind: parallel.MsgMigrateOut, Moves: moves})
-		case parallel.MsgMigrateIn:
-			bc, err := d.bucketContents(net)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			ms = append(ms, parallel.Message{Kind: parallel.MsgMigrateIn, Inject: bc})
-		default:
-			return nil, 0, 0, d.fail(fmt.Sprintf("message kind %d", kind))
-		}
 	}
 	if err := d.done(); err != nil {
 		return nil, 0, 0, err
 	}
 	return ms, batch, src, nil
+}
+
+func (d *dec) msgs(net *rete.Network, ms []parallel.Message) ([]parallel.Message, error) {
+	n, err := d.count(1 << 24)
+	if err != nil {
+		return nil, err
+	}
+	ms = ms[:0]
+	for i := 0; i < n; i++ {
+		kind, err := d.byte()
+		if err != nil {
+			return nil, err
+		}
+		m := parallel.Message{Kind: parallel.MsgKind(kind)}
+		switch m.Kind {
+		case parallel.MsgCycle:
+			nch, err := d.count(1 << 24)
+			if err != nil {
+				return nil, err
+			}
+			m.Cycle = &parallel.CyclePacket{Changes: make([]rete.Change, nch)}
+			for j := range m.Cycle.Changes {
+				if m.Cycle.Changes[j], err = d.change(); err != nil {
+					return nil, err
+				}
+			}
+		case parallel.MsgAct:
+			if m.Bucket, err = d.i32(); err != nil {
+				return nil, err
+			}
+			if m.Depth, err = d.i32(); err != nil {
+				return nil, err
+			}
+			if m.Act, err = d.activation(net); err != nil {
+				return nil, err
+			}
+		case parallel.MsgMigrateOut:
+			if m.Partition, err = d.partition(); err != nil {
+				return nil, err
+			}
+		case parallel.MsgMigrateIn:
+			if m.Inject, err = d.bucketContents(net); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, d.fail(fmt.Sprintf("message kind %d", kind))
+		}
+		ms = append(ms, m)
+	}
+	return ms, nil
+}
+
+func (d *dec) partition() (sched.Partition, error) {
+	n, err := d.count(1 << 24)
+	if err != nil {
+		return nil, err
+	}
+	p := make(sched.Partition, n)
+	for i := range p {
+		if p[i], err = d.int(); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// --- turn reports (the ftTurn payload) ---
+
+func appendTurn(buf []byte, t *parallel.Turn) []byte {
+	e := enc{buf: buf}
+	e.int(t.N)
+	e.i32(t.Stamp.Batch)
+	e.i32(t.Stamp.Src)
+	e.i32(t.Stamp.Count)
+	e.i64(t.Stats.Handles)
+	e.i64(t.Stats.Sent)
+	e.i64(t.Stats.Shipped)
+	e.i64(t.Stats.Entries)
+	e.i64(t.Stats.Flushes)
+	e.i32(t.Stats.MaxDepth)
+	e.count(len(t.Insts))
+	for i := range t.Insts {
+		e.instChange(t.Insts[i])
+	}
+	e.count(len(t.Loads))
+	for _, l := range t.Loads {
+		e.i32(l.Bucket)
+		e.i64(l.N)
+	}
+	return e.buf
+}
+
+// decodeTurn decodes an ftTurn payload into t, reusing its buffers.
+func decodeTurn(net *rete.Network, payload []byte, t *parallel.Turn) error {
+	d := dec{b: payload}
+	var err error
+	if t.N, err = d.int(); err != nil {
+		return err
+	}
+	if t.N < 0 {
+		return d.fail("negative turn message count")
+	}
+	for _, p := range [...]*int32{&t.Stamp.Batch, &t.Stamp.Src, &t.Stamp.Count} {
+		if *p, err = d.i32(); err != nil {
+			return err
+		}
+	}
+	for _, p := range [...]*int64{&t.Stats.Handles, &t.Stats.Sent, &t.Stats.Shipped, &t.Stats.Entries, &t.Stats.Flushes} {
+		if *p, err = d.i64(); err != nil {
+			return err
+		}
+	}
+	if t.Stats.MaxDepth, err = d.i32(); err != nil {
+		return err
+	}
+	n, err := d.count(1 << 24)
+	if err != nil {
+		return err
+	}
+	t.Insts = t.Insts[:0]
+	for i := 0; i < n; i++ {
+		ic, err := d.instChange(net)
+		if err != nil {
+			return err
+		}
+		t.Insts = append(t.Insts, ic)
+	}
+	if n, err = d.count(1 << 24); err != nil {
+		return err
+	}
+	t.Loads = t.Loads[:0]
+	for i := 0; i < n; i++ {
+		var l parallel.BucketLoad
+		if l.Bucket, err = d.i32(); err != nil {
+			return err
+		}
+		if l.N, err = d.i64(); err != nil {
+			return err
+		}
+		t.Loads = append(t.Loads, l)
+	}
+	return d.done()
 }

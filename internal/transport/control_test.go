@@ -9,20 +9,49 @@ import (
 
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
+	"mpcrete/internal/sched"
 )
 
-// startWorkers launches n worker protocol loops (each on its own real
-// TCP connection, as separate processes would) against the control's
-// listener.
-func startWorkers(t *testing.T, addr string, n int) chan error {
+// startStar starts a Star hub, launches opts.Workers worker protocol
+// loops against it (each on its own real TCP connection, as separate
+// processes would), and builds the runtime over them. The channel
+// yields each worker's exit error.
+func startStar(t *testing.T, net *rete.Network, opts parallel.Options) (*parallel.Runtime, chan error) {
 	t.Helper()
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
+	star, err := Listen("127.0.0.1:0", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, opts.Workers)
+	for i := 0; i < opts.Workers; i++ {
 		go func() {
-			errs <- Serve(addr, 5*time.Second)
+			errs <- Serve(star.Addr(), 5*time.Second)
 		}()
 	}
-	return errs
+	opts.Transport = star
+	rt, err := parallel.New(net, opts)
+	if err != nil {
+		star.Close()
+		t.Fatal(err)
+	}
+	return rt, errs
+}
+
+// closeStar closes the runtime and requires every worker to exit
+// cleanly on the hub's shutdown frame.
+func closeStar(t *testing.T, rt *parallel.Runtime, werrs chan error, workers int) {
+	t.Helper()
+	rt.Close()
+	for i := 0; i < workers; i++ {
+		select {
+		case err := <-werrs:
+			if err != nil {
+				t.Fatalf("worker exit: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("worker did not exit")
+		}
+	}
 }
 
 // TestControlParity holds the multi-process star topology against the
@@ -41,20 +70,12 @@ func TestControlParity(t *testing.T) {
 				}
 				defer ref.Close()
 
-				causal := parallel.NewFlightRecorder(workers, 0, 0, rete.DefaultNBuckets)
-				ctl, err := Listen(net, "127.0.0.1:0", ControlOptions{
+				ctl, werrs := startStar(t, net, parallel.Options{
 					Workers:    workers,
 					RouteRoots: routed,
-					Causal:     causal,
+					Causal:     parallel.NewFlightRecorder(workers, 0, 0, rete.DefaultNBuckets),
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				defer ctl.Close()
-				werrs := startWorkers(t, ctl.Addr(), workers)
-				if err := ctl.WaitWorkers(); err != nil {
-					t.Fatal(err)
-				}
 
 				want := instKeys(ref.Apply(changes))
 				got, err := ctl.Cycle(changes)
@@ -103,84 +124,151 @@ func TestControlParity(t *testing.T) {
 					t.Fatal("no worker-side activations reported through turn aggregates")
 				}
 
-				if err := ctl.Close(); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < workers; i++ {
-					if err := <-werrs; err != nil {
-						t.Fatalf("worker exit: %v", err)
-					}
-				}
+				closeStar(t, ctl, werrs, workers)
 			})
 		}
 	}
 }
 
-// TestControlWorkerDisconnect kills one worker between cycles and
-// checks the next Cycle surfaces a runtime error instead of hanging on
-// the termination counter.
+// TestControlWorkerDisconnect kills one worker at three points — between
+// cycles, after reading its cycle batch but before its turn frame, and
+// after reading a migration order — and checks Cycle surfaces a
+// runtime error instead of hanging on the termination counter, the
+// error stays set, and Close still returns.
 func TestControlWorkerDisconnect(t *testing.T) {
-	const workers = 2
-	netw, changes := compileWorkload(t, "blocks")
-	ctl, err := Listen(netw, "127.0.0.1:0", ControlOptions{Workers: workers})
+	cases := []struct {
+		name    string
+		migrate bool
+		// dies reports whether the fake worker drops its link on
+		// receiving ms; it acknowledges every other batch with an empty
+		// turn. A nil dies drops the link right after the handshake.
+		dies func(ms []parallel.Message) bool
+	}{
+		{name: "between-cycles"},
+		{name: "mid-cycle", dies: func([]parallel.Message) bool { return true }},
+		{name: "mid-migration", migrate: true, dies: func(ms []parallel.Message) bool {
+			for _, m := range ms {
+				if m.Kind == parallel.MsgMigrateOut {
+					return true
+				}
+			}
+			return false
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const workers = 2
+			netw, changes := compileWorkload(t, "blocks")
+			star, err := Listen("127.0.0.1:0", 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer star.Close()
+
+			// One real worker, one fake that handshakes and then drops
+			// the link at the case's point.
+			go Serve(star.Addr(), 5*time.Second)
+			linked := make(chan net.Conn, 1)
+			go fakeWorker(t, star.Addr(), linked, tc.dies)
+			opts := parallel.Options{Workers: workers, Transport: star}
+			if tc.migrate {
+				opts.ForceMigrate = func(cycle int) sched.Partition {
+					return rotated(rete.DefaultNBuckets, workers, cycle)
+				}
+			}
+			rt, err := parallel.New(netw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := <-linked
+			if tc.dies == nil {
+				conn.Close()
+			}
+
+			cycle := func() error {
+				done := make(chan error, 1)
+				go func() {
+					_, err := rt.Cycle(changes)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					return err
+				case <-time.After(10 * time.Second):
+					t.Fatal("Cycle hung on a dead worker")
+					return nil
+				}
+			}
+			err = cycle()
+			if err == nil {
+				t.Fatal("Cycle succeeded with a dead worker; want a transport error")
+			}
+			t.Logf("Cycle: %v", err)
+			// The failure is sticky: later cycles fail fast too.
+			if err := cycle(); err == nil {
+				t.Fatal("Cycle after failure succeeded; want sticky error")
+			}
+			closed := make(chan struct{})
+			go func() {
+				rt.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hung after a worker died")
+			}
+		})
+	}
+}
+
+// fakeWorker handshakes with the hub like Serve, hands its connection
+// to linked, and acknowledges each batch with an empty turn until dies
+// reports true for one; then it closes the connection without a turn.
+func fakeWorker(t *testing.T, addr string, linked chan<- net.Conn, dies func([]parallel.Message) bool) {
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return
 	}
-	defer ctl.Close()
-
-	// One real worker, one that handshakes and then drops the link.
-	go Serve(ctl.Addr(), 5*time.Second)
-	droppedConn := make(chan net.Conn, 1)
-	go func() {
-		conn, err := net.Dial("tcp", ctl.Addr())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		br := bufio.NewReader(conn)
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	ft, payload, err := readFrame(br, nil)
+	if err != nil || ft != ftHello {
+		t.Errorf("fake worker handshake: ft=%v err=%v", ft, err)
+		return
+	}
+	h, err := decodeHello(payload)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	var ready enc
+	ready.int(h.id)
+	if err := writeFrame(conn, ftReady, ready.buf); err != nil {
+		t.Error(err)
+		return
+	}
+	linked <- conn
+	if dies == nil {
+		return
+	}
+	for {
 		ft, payload, err := readFrame(br, nil)
-		if err != nil || ft != ftHello {
-			t.Errorf("fake worker handshake: ft=%v err=%v", ft, err)
-			conn.Close()
+		if err != nil || ft != ftBatch {
 			return
 		}
-		h, err := decodeHello(payload)
+		ms, batch, src, err := decodeBatch(h.Net, payload, nil)
 		if err != nil {
 			t.Error(err)
-			conn.Close()
 			return
 		}
-		var ready enc
-		ready.int(h.id)
-		if err := writeFrame(conn, ftReady, ready.buf); err != nil {
-			t.Error(err)
-			conn.Close()
+		if dies(ms) {
 			return
 		}
-		droppedConn <- conn
-	}()
-	if err := ctl.WaitWorkers(); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the fake worker's link mid-topology, then drive a cycle.
-	(<-droppedConn).Close()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := ctl.Cycle(changes)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Cycle succeeded with a dead worker; want a transport error")
+		turn := parallel.Turn{N: len(ms), Stamp: parallel.RecvStamp{Batch: batch, Src: src, Count: int32(len(ms))}}
+		if err := writeFrame(conn, ftTurn, appendTurn(nil, &turn)); err != nil {
+			return
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Cycle hung on a dead worker")
-	}
-
-	// The failure is sticky: later cycles fail fast too.
-	if _, err := ctl.Cycle(changes); err == nil {
-		t.Fatal("Cycle after failure succeeded; want sticky error")
 	}
 }

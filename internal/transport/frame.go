@@ -1,17 +1,17 @@
 // Package transport carries the parallel runtime's message plane over
 // TCP: length-prefixed frames with coalesced per-batch payloads, the
 // wire realization of the paper's message-passing machine. It provides
-// two layers:
+// two parallel.Transports:
 //
-//   - Loopback: a parallel.Transport that ships every mailbox message
-//     through a real localhost TCP connection pair per worker, used to
-//     validate the wire codec and framing against the in-process
-//     reference (difftest plugs it into the differential oracle).
-//   - Control / ServeWorker: a star-topology multi-process runtime —
-//     one control process, N worker processes — with a compiled-network
-//     handshake, per-batch framing, relay routing of worker-to-worker
-//     activations, and exact termination-detection accounting across
-//     the wire (see control.go).
+//   - Loopback ships every mailbox message through a real localhost TCP
+//     connection pair per worker, used to validate the wire codec and
+//     framing against the in-process reference (difftest plugs it into
+//     the differential oracle).
+//   - Star is the multi-process runtime's transport: a star topology
+//     with parallel.Runtime as the hub and N worker processes (Serve,
+//     cmd/ops5worker) as the points, each hosting a parallel.Core. The
+//     hub relays worker-to-worker messages and keeps exact
+//     termination-detection accounting across the wire (see star.go).
 //
 // The frame format is the QCDSP-style minimum: a 4-byte big-endian
 // length, a 1-byte frame type, and a varint-encoded payload. The
@@ -21,10 +21,15 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+
+	"mpcrete/internal/obs"
+	"mpcrete/internal/parallel"
 )
 
 // MaxFrame bounds a frame's length field (type byte + payload). A
@@ -42,47 +47,26 @@ const (
 	ftHello frameType = iota + 1
 	// ftReady is the worker→control handshake reply.
 	ftReady
-	// ftBatch is the Loopback transport's unit: one pushed message
-	// batch with its causal stamp (batch, src).
+	// ftBatch is one pushed message batch with its causal stamp
+	// (batch, src): the Loopback transport's unit, and the hub's
+	// delivery to a worker process.
 	ftBatch
-	// ftCycle is the control→worker broadcast of one match phase's wme
-	// changes (Fig 3-3).
-	ftCycle
-	// ftActs is a control→worker batch of routed activations: Fig 3-2
-	// roots, or worker-to-worker sends relayed through the control
-	// process.
-	ftActs
-	// ftRelay is a worker→control batch of activations destined for
-	// another worker; the control process forwards it as ftActs.
+	// ftRelay is a worker→hub batch of messages destined for another
+	// worker; the hub forwards it as ftBatch.
 	ftRelay
-	// ftTurn ends a worker's turn: how many messages it fully
-	// processed, the recv stamps it drained, its per-turn measurement
-	// aggregate, the conflict-set deltas it produced, and (when load
-	// tracking is on) its per-bucket activation counts.
+	// ftTurn ends a worker process's turn with its parallel.Turn
+	// report: how many messages it handled, their recv stamp, the turn
+	// aggregate, the conflict-set deltas and the per-bucket loads.
 	ftTurn
 	// ftShutdown asks a worker to exit cleanly.
 	ftShutdown
-	// ftRepart is the control→worker migration order: the new
-	// partition plus the buckets this worker must extract and ship.
-	// Sent to every worker at a quiescent cycle boundary — routing
-	// switches everywhere before the next cycle's delivery.
-	ftRepart
-	// ftBucketRelay is a worker→control shipment of one extracted
-	// bucket pair: destination worker, entry count, then the encoded
-	// contents, which the control process forwards verbatim (without
-	// decoding) as ftBucket.
-	ftBucketRelay
-	// ftBucket is the control→worker delivery of one migrated bucket
-	// pair; the receiver injects it and closes the turn.
-	ftBucket
 
-	maxFrameType = ftBucket
+	maxFrameType = ftShutdown
 )
 
 var frameTypeNames = [...]string{
-	ftHello: "hello", ftReady: "ready", ftBatch: "batch", ftCycle: "cycle",
-	ftActs: "acts", ftRelay: "relay", ftTurn: "turn", ftShutdown: "shutdown",
-	ftRepart: "repart", ftBucketRelay: "bucket-relay", ftBucket: "bucket",
+	ftHello: "hello", ftReady: "ready", ftBatch: "batch",
+	ftRelay: "relay", ftTurn: "turn", ftShutdown: "shutdown",
 }
 
 func (t frameType) String() string {
@@ -93,8 +77,8 @@ func (t frameType) String() string {
 }
 
 // Typed frame errors. Fault tests assert on these with errors.Is; the
-// runtime surfaces them through EndpointOptions.OnError or
-// Control.Cycle rather than hanging.
+// runtime surfaces them through EndpointOptions.OnError as an error
+// from parallel.Runtime.Cycle rather than hanging.
 var (
 	// ErrFrameTooLarge reports a length field exceeding MaxFrame (or a
 	// payload too large to encode).
@@ -108,7 +92,7 @@ var (
 )
 
 // writeFrame writes one frame. The caller serializes concurrent writers
-// (per-connection write mutexes in loopback.go / control.go).
+// (per-connection write mutexes in loopback.go / star.go).
 func writeFrame(w io.Writer, ft frameType, payload []byte) error {
 	n := 1 + len(payload)
 	if n > MaxFrame {
@@ -125,6 +109,82 @@ func writeFrame(w io.Writer, ft frameType, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// sender frames pushed message batches onto one connection: the
+// Endpoint push half shared by Loopback and Star. It encodes each
+// batch synchronously under its mutex (the capture contract), drops
+// and counts pushes after close, and reports a failed send through
+// onError, since an accepted message is then lost.
+type sender struct {
+	mu      sync.Mutex
+	bw      *bufio.Writer
+	ebuf    []byte
+	closed  bool
+	dropped *obs.Counter
+	onError func(error)
+}
+
+func (s *sender) Push(m parallel.Message, batch, src int32) {
+	one := [1]parallel.Message{m}
+	s.PushBatch(one[:], batch, src)
+}
+
+func (s *sender) PushBatch(ms []parallel.Message, batch, src int32) {
+	if len(ms) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		s.dropped.Add(int64(len(ms)))
+		return
+	}
+	buf, err := appendBatch(s.ebuf[:0], ms, batch, src)
+	if err == nil {
+		s.ebuf = buf[:0] // keep the grown capacity
+		err = s.writeLocked(ftBatch, buf)
+	}
+	if err != nil {
+		s.report(fmt.Errorf("transport: send: %w", err))
+	}
+}
+
+// write frames and flushes one payload, closed or not.
+func (s *sender) write(ft frameType, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.writeLocked(ft, payload)
+}
+
+func (s *sender) writeLocked(ft frameType, payload []byte) error {
+	if err := writeFrame(s.bw, ft, payload); err != nil {
+		return err
+	}
+	return s.bw.Flush()
+}
+
+// close stops accepting pushes and reports whether it was open.
+func (s *sender) close() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	was := !s.closed
+	s.closed = true
+	return was
+}
+
+func (s *sender) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+// report passes a lost-message error to the runtime; onError must
+// tolerate concurrent calls.
+func (s *sender) report(err error) {
+	if s.onError != nil {
+		s.onError(err)
+	}
 }
 
 // readFrame reads one frame, reusing buf for the payload when it fits.

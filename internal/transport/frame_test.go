@@ -164,9 +164,9 @@ func FuzzTransportFrame(f *testing.F) {
 		writeFrame(&b, ftBatch, buf)
 		f.Add(b.Bytes())
 	}
-	if hb, err := encodeHello(nil, hello{
-		workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1},
-	}, net); err == nil {
+	if hb, err := encodeHello(nil, hello{Topology: parallel.Topology{
+		Net: net, Workers: 2, NBuckets: 4, Partition: []int{0, 1, 0, 1},
+	}}); err == nil {
 		var b bytes.Buffer
 		writeFrame(&b, ftHello, hb)
 		f.Add(b.Bytes())
@@ -205,22 +205,14 @@ func FuzzTransportFrame(f *testing.F) {
 			}
 		case ftHello:
 			decodeHello(payload)
-		case ftActs, ftRelay:
-			var d dec
-			d.b = payload
-			if ft == ftRelay {
-				if _, err := d.i32(); err != nil {
-					return
-				}
-			} else {
-				if _, err := d.i32(); err != nil {
-					return
-				}
-				if _, err := d.i32(); err != nil {
-					return
-				}
+		case ftRelay:
+			d := dec{b: payload}
+			if _, err := d.i32(); err != nil {
+				return
 			}
-			d.actList(net, nil)
+			d.msgs(net, nil)
+		case ftTurn:
+			decodeTurn(net, payload, &parallel.Turn{})
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -81,11 +82,11 @@ func (l *Loopback) Open(workers int, opts parallel.EndpointOptions) ([]parallel.
 			return nil, fmt.Errorf("transport: loopback accept: %w", err)
 		}
 		ep := &loopEndpoint{
-			net:   l.net,
-			wconn: wc,
-			rconn: rc,
-			inner: parallel.NewEndpoint(opts),
-			opts:  opts,
+			sender: sender{bw: bufio.NewWriter(wc), dropped: opts.Dropped, onError: opts.OnError},
+			net:    l.net,
+			wconn:  wc,
+			rconn:  rc,
+			inner:  parallel.NewEndpoint(opts),
 		}
 		go ep.readLoop()
 		l.mu.Lock()
@@ -115,53 +116,11 @@ func (l *Loopback) Close() error {
 // loopEndpoint is one worker's inbox: writers frame messages onto
 // wconn; the reader goroutine decodes rconn into inner.
 type loopEndpoint struct {
+	sender
 	net   *rete.Network
 	inner parallel.Endpoint
-	opts  parallel.EndpointOptions
 	rconn net.Conn
-
-	mu     sync.Mutex // serializes writers; guards wbuf, closed
-	wconn  net.Conn
-	wbuf   []byte
-	closed bool
-}
-
-func (ep *loopEndpoint) Push(m parallel.Message, batch, src int32) {
-	one := [1]parallel.Message{m}
-	ep.push(one[:], batch, src, 1)
-}
-
-func (ep *loopEndpoint) PushBatch(ms []parallel.Message, batch, src int32) {
-	if len(ms) == 0 {
-		return
-	}
-	ep.push(ms, batch, src, int64(len(ms)))
-}
-
-func (ep *loopEndpoint) push(ms []parallel.Message, batch, src int32, n int64) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		ep.opts.Dropped.Add(n)
-		return
-	}
-	buf, err := appendBatch(ep.wbuf[:0], ms, batch, src)
-	if err != nil {
-		ep.fail(err)
-		return
-	}
-	ep.wbuf = buf[:0] // keep the grown capacity
-	if err := writeFrame(ep.wconn, ftBatch, buf); err != nil {
-		ep.fail(fmt.Errorf("transport: loopback send: %w", err))
-	}
-}
-
-// fail reports a lost accepted message. Callers hold ep.mu or run on
-// the reader goroutine; OnError must tolerate concurrent calls.
-func (ep *loopEndpoint) fail(err error) {
-	if ep.opts.OnError != nil {
-		ep.opts.OnError(err)
-	}
+	wconn net.Conn
 }
 
 func (ep *loopEndpoint) readLoop() {
@@ -174,7 +133,7 @@ func (ep *loopEndpoint) readLoop() {
 		ft, payload, err := readFrame(ep.rconn, fbuf)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !ep.isClosed() {
-				ep.fail(fmt.Errorf("transport: loopback recv: %w", err))
+				ep.report(fmt.Errorf("transport: loopback recv: %w", err))
 			}
 			ep.inner.Close()
 			ep.rconn.Close()
@@ -182,7 +141,7 @@ func (ep *loopEndpoint) readLoop() {
 		}
 		fbuf = payload[:0]
 		if ft != ftBatch {
-			ep.fail(fmt.Errorf("%w: unexpected %s frame on loopback", ErrBadPayload, ft))
+			ep.report(fmt.Errorf("%w: unexpected %s frame on loopback", ErrBadPayload, ft))
 			ep.inner.Close()
 			ep.rconn.Close()
 			return
@@ -190,19 +149,13 @@ func (ep *loopEndpoint) readLoop() {
 		var batch, src int32
 		ms, batch, src, err = decodeBatch(ep.net, payload, ms)
 		if err != nil {
-			ep.fail(fmt.Errorf("transport: loopback decode: %w", err))
+			ep.report(fmt.Errorf("transport: loopback decode: %w", err))
 			ep.inner.Close()
 			ep.rconn.Close()
 			return
 		}
 		ep.inner.PushBatch(ms, batch, src)
 	}
-}
-
-func (ep *loopEndpoint) isClosed() bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.closed
 }
 
 func (ep *loopEndpoint) Drain(buf []parallel.Message, sbuf []parallel.RecvStamp) ([]parallel.Message, []parallel.RecvStamp, bool) {
@@ -218,12 +171,7 @@ func (ep *loopEndpoint) TryDrain(buf []parallel.Message, sbuf []parallel.RecvSta
 // reader closes the inner endpoint (TCP delivers buffered data ahead
 // of the FIN), matching the mailbox's pending-after-close semantics.
 func (ep *loopEndpoint) Close() {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return
+	if ep.close() {
+		ep.wconn.Close()
 	}
-	ep.closed = true
-	ep.mu.Unlock()
-	ep.wconn.Close()
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
 )
@@ -54,14 +54,26 @@ func sameSet(a, b map[string]bool) bool {
 	return true
 }
 
+// rotated maps bucket b to worker (b + shift) % workers: with a new
+// shift at every boundary, every bucket changes owner.
+func rotated(nbuckets, workers, shift int) sched.Partition {
+	p := make(sched.Partition, nbuckets)
+	for b := range p {
+		p[b] = (b + shift) % workers
+	}
+	return p
+}
+
 // TestControlForcedMigrationParity is the cross-process form of the
 // migration metamorphic property: buckets migrate between worker
 // processes over real TCP connections mid-run — extraction, wire
-// serialization, relay through the control process, and injection at
-// the new owner — and the netted conflict-set trajectory must stay
-// identical to the sequential matcher's. The forced schedule rotates
-// the whole partition at every cycle boundary, so every resident token
-// crosses the wire between every pair of cycles.
+// serialization, relay through the hub, and injection at the new owner
+// — and the netted conflict-set trajectory must stay identical to the
+// sequential matcher's. The forced schedule rotates the whole
+// partition at every cycle boundary, so every resident token crosses
+// the wire between every pair of cycles. The in-process runtime runs
+// the same schedule alongside: its netted output must match on every
+// cycle, and its migration cost triple must match exactly.
 func TestControlForcedMigrationParity(t *testing.T) {
 	srcs := []string{
 		`(p join (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`,
@@ -71,28 +83,22 @@ func TestControlForcedMigrationParity(t *testing.T) {
 	for _, routed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("routed=%v", routed), func(t *testing.T) {
 			const workers = 3
-			net := compileProdsT(t, srcs...)
-			seq := rete.NewMatcher(compileProdsT(t, srcs...), rete.MatcherOptions{NBuckets: nbuckets})
-			ctl, err := Listen(net, "127.0.0.1:0", ControlOptions{
+			opts := parallel.Options{
 				Workers:    workers,
 				NBuckets:   nbuckets,
 				RouteRoots: routed,
 				ForceMigrate: func(cycle int) sched.Partition {
-					p := make(sched.Partition, nbuckets)
-					for b := range p {
-						p[b] = (b + cycle) % workers
-					}
-					return p
+					return rotated(nbuckets, workers, cycle)
 				},
-			})
+			}
+			seq := rete.NewMatcher(compileProdsT(t, srcs...), rete.MatcherOptions{NBuckets: nbuckets})
+			inproc, err := parallel.New(compileProdsT(t, srcs...), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer inproc.Close()
+			ctl, werrs := startStar(t, compileProdsT(t, srcs...), opts)
 			defer ctl.Close()
-			werrs := startWorkers(t, ctl.Addr(), workers)
-			if err := ctl.WaitWorkers(); err != nil {
-				t.Fatal(err)
-			}
 
 			seqCS, wireCS := map[string]bool{}, map[string]bool{}
 			cycles := 0
@@ -118,6 +124,13 @@ func TestControlForcedMigrationParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				want, err := inproc.Cycle(ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(instKeys(got)) != fmt.Sprint(instKeys(want)) {
+					t.Fatalf("step %d: netted output diverges from the in-process runtime\nwire:    %v\ninproc:  %v", i, instKeys(got), instKeys(want))
+				}
 				foldInsts(wireCS, got)
 				cycles++
 				if !sameSet(seqCS, wireCS) {
@@ -134,51 +147,33 @@ func TestControlForcedMigrationParity(t *testing.T) {
 			if entries == 0 {
 				t.Error("no entries crossed the wire despite resident state")
 			}
-
-			if err := ctl.Close(); err != nil {
-				t.Fatal(err)
+			if im, ib, ie := inproc.RebalanceStats(); im != migs || ib != moved || ie != entries {
+				t.Errorf("RebalanceStats: wire (%d, %d, %d), in-process (%d, %d, %d)", migs, moved, entries, im, ib, ie)
 			}
-			for i := 0; i < workers; i++ {
-				select {
-				case err := <-werrs:
-					if err != nil {
-						t.Fatalf("worker exit: %v", err)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatal("worker did not exit")
-				}
-			}
+			closeStar(t, ctl, werrs, workers)
 		})
 	}
 }
 
 // TestControlAdaptiveParity runs the online detector across worker
 // processes: a pathologically bad initial assignment (every bucket on
-// worker 0), per-bucket loads reported in turn frames, and the control
-// plane's balancer migrating buckets over the wire — with the netted
-// conflict sets identical to the sequential matcher throughout.
+// worker 0), per-bucket loads reported in turn frames, and the
+// balancer migrating buckets over the wire — with the netted conflict
+// sets identical to the sequential matcher throughout.
 func TestControlAdaptiveParity(t *testing.T) {
 	const (
 		workers  = 3
 		nbuckets = 64
 	)
 	src := `(p j (a ^x <v>) (b ^x <v>) --> (halt))`
-	net := compileProdsT(t, src)
 	seq := rete.NewMatcher(compileProdsT(t, src), rete.MatcherOptions{NBuckets: nbuckets})
-	ctl, err := Listen(net, "127.0.0.1:0", ControlOptions{
+	ctl, werrs := startStar(t, compileProdsT(t, src), parallel.Options{
 		Workers:   workers,
 		NBuckets:  nbuckets,
 		Partition: make(sched.Partition, nbuckets), // everything on worker 0
 		Rebalance: sched.Rebalance{Threshold: 1.01, MinInterval: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer ctl.Close()
-	werrs := startWorkers(t, ctl.Addr(), workers)
-	if err := ctl.WaitWorkers(); err != nil {
-		t.Fatal(err)
-	}
 
 	seqCS, wireCS := map[string]bool{}, map[string]bool{}
 	id := 1
@@ -209,25 +204,16 @@ func TestControlAdaptiveParity(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("migration moved no buckets")
 	}
-	owners := map[int]bool{}
-	for _, o := range ctl.opts.Partition {
-		owners[o] = true
-	}
-	if len(owners) < 2 {
-		t.Fatalf("partition still on a single owner after %d migrations", migs)
-	}
-
-	if err := ctl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < workers; i++ {
-		select {
-		case err := <-werrs:
-			if err != nil {
-				t.Fatalf("worker exit: %v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("worker did not exit")
+	// The work spread out: more than one worker performed activations
+	// in the cycles after the first migration.
+	busy := 0
+	for _, n := range ctl.Stats().Processed {
+		if n > 0 {
+			busy++
 		}
 	}
+	if busy < 2 {
+		t.Fatalf("work still on a single worker after %d migrations", migs)
+	}
+	closeStar(t, ctl, werrs, workers)
 }

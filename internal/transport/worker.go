@@ -7,108 +7,50 @@ import (
 	"net"
 	"time"
 
+	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
+	"mpcrete/internal/sched"
 )
 
 // The worker half of the multi-process star topology: one match
-// process owning a partition slice of the hash-bucket space, mirroring
-// parallel.worker message for message. It dials the control process,
-// receives the compiled network in the hello handshake, and then runs
-// the turn protocol: each incoming ftCycle/ftActs frame is one turn —
-// constant tests (broadcast mode) or direct enqueue (routed mode), a
-// breadth-first local drain identical to the in-process worker's, one
-// coalesced ftRelay frame per remote destination, and a closing ftTurn
-// frame carrying the processed count, the echoed recv stamps, the
-// turn's measurement aggregate, and the conflict-set deltas.
+// process hosting a parallel.Core. It dials the hub, receives the
+// compiled network and its topology in the hello handshake, and then
+// treats each incoming ftBatch frame as one turn: the core handles the
+// frame's messages, each destination's out buffer leaves as one ftRelay
+// frame, and a closing ftTurn frame carries the core's turn report.
 //
 // Frame order is the termination-detection argument: relays precede
-// the turn frame on the same TCP stream, so the control process
-// registers forwarded work (counter.Add, AddSent) before it
-// deregisters the turn's processed messages (AddRecv, counter.Add(-n))
-// — the exact Add-before-visible / Done-after-processed discipline the
-// in-process runtime keeps with function-call ordering.
+// the turn frame on the same TCP stream, so the hub registers relayed
+// work (Hub.Relay) before it deregisters the turn's handled messages
+// (Hub.EndTurn) — the Add-before-visible / Done-after-processed
+// discipline the goroutine worker keeps with function-call ordering.
 
 // protoVersion is the handshake protocol version; a mismatch aborts
-// the handshake rather than mis-decoding frames. Version 2 added the
-// migration protocol (ftRepart/ftBucketRelay/ftBucket), the trackLoads
-// hello flag, and the per-bucket load section of ftTurn.
-const protoVersion = 2
+// the handshake rather than mis-decoding frames. Version 3 carries
+// parallel.Message batches both ways (ftBatch, ftRelay) and the
+// parallel.Turn report in ftTurn.
+const protoVersion = 3
 
-// wireAct is one routed activation with its routing metadata.
-type wireAct struct {
-	bucket int32
-	depth  int32
-	act    rete.Activation
-}
-
-func (e *enc) actList(acts []wireAct) {
-	e.count(len(acts))
-	for i := range acts {
-		e.i32(acts[i].bucket)
-		e.i32(acts[i].depth)
-		e.activation(acts[i].act)
-	}
-}
-
-func (d *dec) actList(net *rete.Network, buf []wireAct) ([]wireAct, error) {
-	n, err := d.count(1 << 24)
-	if err != nil {
-		return nil, err
-	}
-	buf = buf[:0]
-	for i := 0; i < n; i++ {
-		var wa wireAct
-		if wa.bucket, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if wa.depth, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if wa.act, err = d.activation(net); err != nil {
-			return nil, err
-		}
-		buf = append(buf, wa)
-	}
-	return buf, nil
-}
-
-// turnAgg is the worker-side measurement aggregate shipped home in
-// each ftTurn frame (merged into the control's flight recorder via
-// obs.TrackRecorder.MergeRemote).
-type turnAgg struct {
-	handles  int64
-	flushes  int64
-	maxDepth int32
-}
-
-// hello is the decoded handshake.
+// hello is the decoded handshake: the worker's id and the topology its
+// core is built for.
 type hello struct {
-	id         int
-	workers    int
-	nbuckets   int
-	routeRoots bool
-	// trackLoads asks the worker to count activations per bucket and
-	// report nonzero counts in each ftTurn frame (the control plane's
-	// rebalance detector feeds on them).
-	trackLoads bool
-	partition  []int
-	net        *rete.Network
+	id int
+	parallel.Topology
 }
 
-func encodeHello(buf []byte, h hello, network *rete.Network) ([]byte, error) {
+func encodeHello(buf []byte, h hello) ([]byte, error) {
 	e := enc{buf: buf}
 	e.u64(protoVersion)
 	e.int(h.id)
-	e.int(h.workers)
-	e.int(h.nbuckets)
-	e.bool(h.routeRoots)
-	e.bool(h.trackLoads)
-	e.count(len(h.partition))
-	for _, owner := range h.partition {
+	e.int(h.Workers)
+	e.int(h.NBuckets)
+	e.bool(h.TrackLoads)
+	e.count(len(h.Partition))
+	for _, owner := range h.Partition {
 		e.int(owner)
 	}
 	var nb bytes.Buffer
-	if err := rete.EncodeNetwork(&nb, network); err != nil {
+	if err := rete.EncodeNetwork(&nb, h.Net); err != nil {
 		return nil, fmt.Errorf("transport: encoding network for handshake: %w", err)
 	}
 	e.count(nb.Len())
@@ -129,36 +71,23 @@ func decodeHello(payload []byte) (hello, error) {
 	if h.id, err = d.int(); err != nil {
 		return h, err
 	}
-	if h.workers, err = d.int(); err != nil {
+	if h.Workers, err = d.int(); err != nil {
 		return h, err
 	}
-	if h.nbuckets, err = d.int(); err != nil {
+	if h.NBuckets, err = d.int(); err != nil {
 		return h, err
 	}
-	if h.routeRoots, err = d.bool(); err != nil {
+	if h.TrackLoads, err = d.bool(); err != nil {
 		return h, err
 	}
-	if h.trackLoads, err = d.bool(); err != nil {
+	if h.id < 0 || h.Workers < 1 || h.id >= h.Workers || h.NBuckets < 1 {
+		return h, fmt.Errorf("%w: topology id=%d workers=%d nbuckets=%d", ErrBadPayload, h.id, h.Workers, h.NBuckets)
+	}
+	if h.Partition, err = d.partition(); err != nil {
 		return h, err
 	}
-	if h.id < 0 || h.workers < 1 || h.id >= h.workers || h.nbuckets < 1 {
-		return h, fmt.Errorf("%w: topology id=%d workers=%d nbuckets=%d", ErrBadPayload, h.id, h.workers, h.nbuckets)
-	}
-	np, err := d.count(1 << 24)
-	if err != nil {
+	if err := h.checkPartition(h.Partition); err != nil {
 		return h, err
-	}
-	if np != h.nbuckets {
-		return h, fmt.Errorf("%w: partition covers %d buckets, want %d", ErrBadPayload, np, h.nbuckets)
-	}
-	h.partition = make([]int, np)
-	for i := range h.partition {
-		if h.partition[i], err = d.int(); err != nil {
-			return h, err
-		}
-		if h.partition[i] < 0 || h.partition[i] >= h.workers {
-			return h, fmt.Errorf("%w: bucket %d owned by worker %d of %d", ErrBadPayload, i, h.partition[i], h.workers)
-		}
 	}
 	nb, err := d.count(1 << 26)
 	if err != nil {
@@ -167,16 +96,40 @@ func decodeHello(payload []byte) (hello, error) {
 	if len(d.b) < nb {
 		return h, d.fail("network bytes")
 	}
-	network, err := rete.DecodeNetwork(bytes.NewReader(d.b[:nb]))
-	if err != nil {
+	if h.Net, err = rete.DecodeNetwork(bytes.NewReader(d.b[:nb])); err != nil {
 		return h, fmt.Errorf("%w: decoding network: %v", ErrBadPayload, err)
 	}
-	h.net = network
 	return h, nil
 }
 
-// Serve dials the control address, retrying until the timeout (worker
-// processes typically race the control's Listen), and runs the worker
+// checkPartition rejects a partition from the wire that does not cover
+// the bucket space with valid worker ids.
+func (h *hello) checkPartition(p sched.Partition) error {
+	if len(p) != h.NBuckets {
+		return fmt.Errorf("%w: partition covers %d buckets, want %d", ErrBadPayload, len(p), h.NBuckets)
+	}
+	if err := p.Validate(h.Workers); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	return nil
+}
+
+// check rejects a message from the wire that would index outside the
+// topology.
+func (h *hello) check(m *parallel.Message) error {
+	switch m.Kind {
+	case parallel.MsgAct:
+		if m.Bucket < 0 || int(m.Bucket) >= h.NBuckets {
+			return fmt.Errorf("%w: activation bucket %d of %d", ErrBadPayload, m.Bucket, h.NBuckets)
+		}
+	case parallel.MsgMigrateOut:
+		return h.checkPartition(m.Partition)
+	}
+	return nil
+}
+
+// Serve dials the hub address, retrying until the timeout (worker
+// processes typically race the hub's Listen), and runs the worker
 // protocol until shutdown (nil) or a fatal error.
 func Serve(addr string, dialTimeout time.Duration) error {
 	deadline := time.Now().Add(dialTimeout)
@@ -195,8 +148,8 @@ func Serve(addr string, dialTimeout time.Duration) error {
 	return ServeConn(conn)
 }
 
-// ServeConn runs the worker protocol on an established control
-// connection. It returns nil on a clean shutdown frame.
+// ServeConn runs the worker protocol on an established hub connection.
+// It returns nil on a clean shutdown frame.
 func ServeConn(conn net.Conn) error {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 1<<16)
@@ -213,14 +166,7 @@ func ServeConn(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("transport: worker handshake: %w", err)
 	}
-	w := &wireWorker{
-		hello:   h,
-		proc:    rete.NewProcessor(h.net, h.nbuckets),
-		outBufs: make([][]wireAct, h.workers),
-	}
-	if h.trackLoads {
-		w.bucketLoad = make([]int64, h.nbuckets)
-	}
+	core := parallel.NewCore(h.Topology, h.id)
 
 	var ready enc
 	ready.int(h.id)
@@ -231,7 +177,9 @@ func ServeConn(conn net.Conn) error {
 		return fmt.Errorf("transport: worker ready: %w", err)
 	}
 
-	var fbuf []byte
+	var fbuf, ebuf []byte
+	var ms []parallel.Message
+	var turn parallel.Turn
 	for {
 		ft, payload, err := readFrame(br, fbuf)
 		if err != nil {
@@ -241,276 +189,49 @@ func ServeConn(conn net.Conn) error {
 		switch ft {
 		case ftShutdown:
 			return nil
-		case ftCycle, ftActs:
-			if err := w.turn(ft, payload, bw); err != nil {
-				return fmt.Errorf("transport: worker %d turn: %w", h.id, err)
-			}
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("transport: worker %d write: %w", h.id, err)
-			}
-		case ftRepart:
-			if err := w.repartition(payload, bw); err != nil {
-				return fmt.Errorf("transport: worker %d repartition: %w", h.id, err)
-			}
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("transport: worker %d write: %w", h.id, err)
-			}
-		case ftBucket:
-			if err := w.injectBucket(payload, bw); err != nil {
-				return fmt.Errorf("transport: worker %d bucket inject: %w", h.id, err)
-			}
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("transport: worker %d write: %w", h.id, err)
-			}
+		case ftBatch:
 		default:
 			return fmt.Errorf("%w: worker got unexpected %s frame", ErrBadPayload, ft)
 		}
-	}
-}
-
-// wireWorker is the match state of one worker process.
-type wireWorker struct {
-	hello
-	proc *rete.Processor
-
-	localQ      []wireAct
-	rootScratch []rete.Activation
-	outBufs     [][]wireAct // per-destination coalescing buffers
-	instBuf     []rete.InstChange
-	actScratch  []wireAct
-	ebuf        []byte
-
-	agg     turnAgg
-	pending int // acts buffered in outBufs this turn
-
-	// bucketLoad counts activations per bucket since the last turn
-	// frame (nil unless hello.trackLoads); dirty lists the nonzero
-	// entries so the turn encoder never scans the whole bucket space.
-	bucketLoad []int64
-	dirty      []int32
-}
-
-// turn handles one incoming protocol frame end to end and writes the
-// relay and turn frames. Mirrors worker.loop in internal/parallel.
-func (w *wireWorker) turn(ft frameType, payload []byte, out *bufio.Writer) error {
-	d := dec{b: payload}
-	batch, err := d.i32()
-	if err != nil {
-		return err
-	}
-	src, err := d.i32()
-	if err != nil {
-		return err
-	}
-	var n int // protocol messages processed this turn
-	switch ft {
-	case ftCycle:
-		nch, err := d.count(1 << 24)
-		if err != nil {
-			return err
+		var batch, src int32
+		if ms, batch, src, err = decodeBatch(h.Net, payload, ms); err != nil {
+			return fmt.Errorf("transport: worker %d: %w", h.id, err)
 		}
-		for i := 0; i < nch; i++ {
-			ch, err := d.change()
-			if err != nil {
-				return err
+		for i := range ms {
+			if err := h.check(&ms[i]); err != nil {
+				return fmt.Errorf("transport: worker %d: %w", h.id, err)
 			}
-			// Broadcast mode: every worker runs the constant tests and
-			// keeps the roots it owns. All roots of the turn are stored
-			// before any is expanded (breadth-first; see drainLocal).
-			w.rootScratch = w.proc.RootActivationsInto(ch, w.rootScratch[:0])
-			for _, act := range w.rootScratch {
-				b := w.proc.Bucket(act)
-				if w.partition[b] == w.id {
-					w.localQ = append(w.localQ, wireAct{bucket: int32(b), depth: 1, act: act})
+			core.Handle(&ms[i])
+		}
+		var flushes int64
+		if core.Pending > 0 {
+			flushes = 1
+			for dst, buf := range core.Out {
+				if len(buf) == 0 {
+					continue
 				}
+				e := enc{buf: ebuf[:0]}
+				e.i32(int32(dst))
+				if ebuf, err = appendMsgs(e.buf, buf); err != nil {
+					return err
+				}
+				if err := writeFrame(bw, ftRelay, ebuf); err != nil {
+					return fmt.Errorf("transport: worker %d write: %w", h.id, err)
+				}
+				core.Out[dst] = buf[:0]
 			}
+			core.Pending = 0
 		}
-		n = 1
-	case ftActs:
-		if w.actScratch, err = d.actList(w.net, w.actScratch); err != nil {
-			return err
+		core.EndTurn(&turn)
+		turn.N = len(ms)
+		turn.Stamp = parallel.RecvStamp{Batch: batch, Src: src, Count: int32(len(ms))}
+		turn.Stats.Flushes = flushes
+		ebuf = appendTurn(ebuf[:0], &turn)
+		if err := writeFrame(bw, ftTurn, ebuf); err != nil {
+			return fmt.Errorf("transport: worker %d write: %w", h.id, err)
 		}
-		w.localQ = append(w.localQ, w.actScratch...)
-		n = len(w.actScratch)
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	w.drainLocal()
-
-	// One coalesced relay frame per destination, then the turn frame —
-	// in that order, on this one stream (see the package comment on
-	// termination accounting).
-	if w.pending > 0 {
-		w.agg.flushes++
-		for dst, buf := range w.outBufs {
-			if len(buf) == 0 {
-				continue
-			}
-			e := enc{buf: w.ebuf[:0]}
-			e.i32(int32(dst))
-			e.actList(buf)
-			w.ebuf = e.buf[:0]
-			if err := writeFrame(out, ftRelay, e.buf); err != nil {
-				return err
-			}
-			w.outBufs[dst] = buf[:0]
-		}
-		w.pending = 0
-	}
-
-	return w.writeTurn(out, n, true, batch, src)
-}
-
-// writeTurn ends a turn on the wire: processed count, recv stamps
-// (none for migration acks — they carry no causal batch), measurement
-// aggregate, conflict-set deltas, and the per-bucket load section.
-func (w *wireWorker) writeTurn(out *bufio.Writer, n int, stamped bool, batch, src int32) error {
-	e := enc{buf: w.ebuf[:0]}
-	e.int(n)
-	if stamped {
-		e.count(1)
-		e.i32(batch)
-		e.i32(src)
-		e.i32(int32(n))
-	} else {
-		e.count(0)
-	}
-	e.i64(w.agg.handles)
-	e.i64(w.agg.flushes)
-	e.i32(w.agg.maxDepth)
-	e.count(len(w.instBuf))
-	for i := range w.instBuf {
-		e.instChange(w.instBuf[i])
-	}
-	e.count(len(w.dirty))
-	for _, b := range w.dirty {
-		e.i32(b)
-		e.i64(w.bucketLoad[b])
-		w.bucketLoad[b] = 0
-	}
-	w.dirty = w.dirty[:0]
-	w.ebuf = e.buf[:0]
-	w.agg = turnAgg{}
-	w.instBuf = w.instBuf[:0]
-	return writeFrame(out, ftTurn, e.buf)
-}
-
-// repartition handles an ftRepart order: switch to the new partition,
-// extract every listed bucket, ship each nonempty one through the
-// control process (ftBucketRelay precedes the closing ftTurn on this
-// stream, so the control registers the forwarded work before it
-// deregisters this turn — the same ordering argument as relays).
-func (w *wireWorker) repartition(payload []byte, out *bufio.Writer) error {
-	d := dec{b: payload}
-	np, err := d.count(1 << 24)
-	if err != nil {
-		return err
-	}
-	if np != w.nbuckets {
-		return fmt.Errorf("%w: repartition covers %d buckets, want %d", ErrBadPayload, np, w.nbuckets)
-	}
-	newPart := make([]int, np)
-	for i := range newPart {
-		if newPart[i], err = d.int(); err != nil {
-			return err
-		}
-		if newPart[i] < 0 || newPart[i] >= w.workers {
-			return fmt.Errorf("%w: bucket %d owned by worker %d of %d", ErrBadPayload, i, newPart[i], w.workers)
+		if err := bw.Flush(); err != nil {
+			return fmt.Errorf("transport: worker %d write: %w", h.id, err)
 		}
 	}
-	nm, err := d.count(1 << 24)
-	if err != nil {
-		return err
-	}
-	type move struct{ bucket, dst int32 }
-	moves := make([]move, nm)
-	for i := range moves {
-		if moves[i].bucket, err = d.i32(); err != nil {
-			return err
-		}
-		if moves[i].dst, err = d.i32(); err != nil {
-			return err
-		}
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	w.partition = newPart
-	for _, mv := range moves {
-		bc := w.proc.ExtractBucket(int(mv.bucket))
-		if bc.Entries() == 0 {
-			continue // nothing stored; ownership transfer is free
-		}
-		e := enc{buf: w.ebuf[:0]}
-		e.i32(mv.dst)
-		e.int(bc.Entries())
-		e.bucketContents(bc)
-		w.ebuf = e.buf[:0]
-		if err := writeFrame(out, ftBucketRelay, e.buf); err != nil {
-			return err
-		}
-	}
-	return w.writeTurn(out, 1, false, 0, 0)
-}
-
-// injectBucket handles an ftBucket delivery: install the migrated
-// contents and close the turn.
-func (w *wireWorker) injectBucket(payload []byte, out *bufio.Writer) error {
-	d := dec{b: payload}
-	bc, err := d.bucketContents(w.net)
-	if err != nil {
-		return err
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	w.proc.InjectBucket(bc)
-	return w.writeTurn(out, 1, false, 0, 0)
-}
-
-// drainLocal expands locally-owned activations breadth-first, exactly
-// as the in-process worker does; remote successors coalesce into
-// outBufs.
-func (w *wireWorker) drainLocal() {
-	for qi := 0; qi < len(w.localQ); qi++ {
-		la := w.localQ[qi]
-		w.processOne(la.act, int(la.bucket), la.depth)
-	}
-	w.localQ = w.localQ[:0]
-}
-
-func (w *wireWorker) processOne(act rete.Activation, bucket int, depth int32) {
-	if act.Node.Kind == rete.KindProduction {
-		w.instBuf = append(w.instBuf, w.proc.BuildInst(act))
-		return
-	}
-	w.agg.handles++
-	if depth > w.agg.maxDepth {
-		w.agg.maxDepth = depth
-	}
-	if w.bucketLoad != nil {
-		if w.bucketLoad[bucket] == 0 {
-			w.dirty = append(w.dirty, int32(bucket))
-		}
-		w.bucketLoad[bucket]++
-	}
-	w.proc.ProcessAt(act, bucket,
-		func(child rete.Activation) {
-			if child.Node.Kind == rete.KindProduction {
-				w.instBuf = append(w.instBuf, w.proc.BuildInst(child))
-				return
-			}
-			b := w.proc.Bucket(child)
-			owner := w.partition[b]
-			if owner == w.id {
-				w.localQ = append(w.localQ, wireAct{bucket: int32(b), depth: depth + 1, act: child})
-				return
-			}
-			w.outBufs[owner] = append(w.outBufs[owner], wireAct{bucket: int32(b), depth: depth + 1, act: child})
-			w.pending++
-		},
-		func(rete.InstChange) {
-			panic("transport: unexpected instantiation emission")
-		})
 }
